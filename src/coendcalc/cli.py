@@ -47,7 +47,7 @@ def _parse_field_flag(spec: str) -> Field:
 
 def _render_terms(field, labels, vec):
     return [
-        [field.render(x), labels[i]] for i, x in enumerate(vec) if x != field.zero
+        [field.render(x), labels[i]] for i, x in enumerate(vec) if x
     ]
 
 
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
         report, code = run_command(args.command, doc, saturate=args.saturate)
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except UnicodeDecodeError as err:
+        print(f"error: {args.input} is not valid UTF-8 (byte {err.start})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CoendcalcError as err:
         print(f"error: {err}", file=sys.stderr)

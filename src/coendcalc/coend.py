@@ -22,7 +22,6 @@ from .linalg import (
     kron,
     kron_vec,
     quotient_split,
-    vec_matrix,
 )
 from .reports import CheckReport
 
@@ -63,10 +62,11 @@ def relation_space(d: DiagramPresentation, require_closed: bool = True) -> list:
     """Spanning set of the relation space J.
 
     For every pair (X, Y), every basis matrix A of the span X -> Y, and
-    every elementary T: F(Y) -> F(X), emit block_X(vec(T*A)) minus
-    block_Y(vec(A*T)).  With ``require_closed`` (the default) a diagram
-    failing composition closure is rejected, since its spans do not
-    present a category.
+    every elementary T = E_rc: F(Y) -> F(X), emit block_X(vec(T*A)) minus
+    block_Y(vec(A*T)).  Both are read off A without a product: T*A is row
+    c of A placed in row r, and A*T is column r of A placed in column c.
+    With ``require_closed`` (the default) a diagram failing composition
+    closure is rejected, since its spans do not present a category.
     """
     if require_closed:
         report = validate_diagram(d)
@@ -78,32 +78,19 @@ def relation_space(d: DiagramPresentation, require_closed: bool = True) -> list:
     relations = []
     names = d.names()
     for x in names:
-        dx = d.dim(x)
+        dx, off_x = d.dim(x), layout.offsets[x]
         for y in names:
-            dy = d.dim(y)
-            basis = hom_basis(d, x, y).basis
-            if not basis or dx == 0 or dy == 0:
-                continue
-            for a in basis:
+            dy, off_y = d.dim(y), layout.offsets[y]
+            for a in hom_basis(d, x, y).basis:
                 for r in range(dx):
+                    column_r = a.entries[r::dx]
                     for c in range(dy):
-                        t = Matrix(
-                            field,
-                            dx,
-                            dy,
-                            [
-                                field.one if (i, j) == (r, c) else field.zero
-                                for i in range(dx)
-                                for j in range(dy)
-                            ],
-                        )
                         vec = [field.zero] * layout.total
-                        off_x = layout.offsets[x]
-                        for k, val in enumerate(vec_matrix(t * a)):
-                            vec[off_x + k] = val
-                        off_y = layout.offsets[y]
-                        for k, val in enumerate(vec_matrix(a * t)):
-                            vec[off_y + k] = field.sub(vec[off_y + k], val)
+                        vec[off_x + r : off_x + dx * dx : dx] = a.row(c)
+                        for i, val in enumerate(column_r):
+                            if val:
+                                k = off_y + c * dy + i
+                                vec[k] = field.sub(vec[k], val)
                         relations.append(tuple(vec))
     return relations
 
@@ -135,7 +122,7 @@ class CoendStructure:
         out = []
         for a in range(self.dim):
             fc = next(
-                c for c in range(self.ambient_dim) if self.split.section[c, a] != self.diagram.field.zero
+                c for c in range(self.ambient_dim) if self.split.section[c, a]
             )
             name, flat = self.layout.locate(fc)
             d = self.diagram.dim(name)
@@ -220,11 +207,12 @@ def generator_coalgebra_maps(c: CoendStructure):
                     left = imap.col(i * d + k)
                     right = imap.col(k * d + j)
                     for idx, val in enumerate(kron_vec(left, right, field)):
-                        if val != field.zero:
+                        if val:
                             acc[idx] = field.add(acc[idx], val)
                 delta_cols.append(tuple(acc))
                 eps_row.append(field.one if i == j else field.zero)
-    delta_v = Matrix.from_cols(field, delta_cols) if delta_cols else Matrix(field, n * n, 0, [])
+    delta_v = Matrix._trusted(field, len(delta_cols), n * n,
+                              [x for col in delta_cols for x in col]).transpose()
     eps_v = Matrix(field, 1, layout.total, eps_row)
     return delta_v, eps_v
 
@@ -236,17 +224,15 @@ def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
     verified to annihilate every relation basis vector before being read
     off on the section's representatives.
     """
-    field = c.diagram.field
     n = c.dim
     delta_v, eps_v = generator_coalgebra_maps(c)
-    zero = field.zero
-    for idx, rel in enumerate(c.relation_basis):
-        if any(x != zero for x in delta_v.apply(rel)):
+    for rel in c.relation_basis:
+        if any(delta_v.apply(rel)):
             raise WellDefinednessError(
                 "comultiplication does not vanish on the relation space",
                 witness=rel,
             )
-        if eps_v.apply(rel)[0] != zero:
+        if eps_v.apply(rel)[0]:
             raise WellDefinednessError(
                 "counit does not vanish on the relation space", witness=rel
             )
@@ -318,14 +304,14 @@ def is_coalgebra_map(
     for a in range(n_src):
         image = phi.col(a)
         lhs = {}
-        for r, w in ((r, w) for r, w in enumerate(image) if w != zero):
+        for r, w in ((r, w) for r, w in enumerate(image) if w):
             for pq, w2 in dst.delta.col_terms(r):
                 lhs[pq] = field.add(lhs.get(pq, zero), field.mul(w, w2))
         rhs = {}
         for rs, w in src.delta.col_terms(a):
             r, s = divmod(rs, n_src)
             for pq, val in enumerate(kron_vec(phi.col(r), phi.col(s), field)):
-                if val != zero:
+                if val:
                     rhs[pq] = field.add(rhs.get(pq, zero), field.mul(w, val))
         for key in set(lhs) | set(rhs):
             if lhs.get(key, zero) != rhs.get(key, zero):
@@ -339,7 +325,7 @@ def is_coalgebra_map(
     for a in range(n_src):
         lhs = zero
         for r, w in enumerate(phi.col(a)):
-            if w != zero:
+            if w:
                 lhs = field.add(lhs, field.mul(dst.epsilon[0, r], w))
         if lhs != src.epsilon[0, a]:
             witness = f"basis {a}"
@@ -519,7 +505,7 @@ def induced_quotient_map(src: CoendStructure, dst: CoendStructure) -> Matrix:
         rep = src.split.section.col(a)
         out = [field.zero] * dst.layout.total
         for coord, val in enumerate(rep):
-            if val != field.zero:
+            if val:
                 name, flat = src.layout.locate(coord)
                 out[dst.layout.coordinate(name, flat)] = val
         perm_cols.append(dst.split.projection.apply(out))

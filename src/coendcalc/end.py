@@ -85,11 +85,11 @@ def compute_end(d: DiagramPresentation, require_closed: bool = True) -> EndStruc
                     row = [field.zero] * layout.total
                     for cidx in range(dy * dy):
                         val = on_y[r, cidx]
-                        if val != field.zero:
+                        if val:
                             row[off_y + cidx] = field.add(row[off_y + cidx], val)
                     for cidx in range(dx * dx):
                         val = on_x[r, cidx]
-                        if val != field.zero:
+                        if val:
                             row[off_x + cidx] = field.sub(row[off_x + cidx], val)
                     rows.append(row)
     if rows:
@@ -153,7 +153,7 @@ def verify_algebra(a: AlgebraData) -> CheckReport:
         for x in range(n):
             acc = [zero] * n
             for r, w in enumerate(a.unit):
-                if w == zero:
+                if not w:
                     continue
                 col = cols[r * n + x] if side == "left" else cols[x * n + r]
                 for e, w2 in col:
@@ -254,9 +254,9 @@ def duality_isomorphism(e: EndStructure, c: CoendStructure):
         for ridx, rel in enumerate(c.relation_basis):
             val = zero
             for k, x in enumerate(rel):
-                if x != zero:
+                if x:
                     val = field.add(val, field.mul(lam[k], x))
-            if val != zero:
+            if val:
                 raise WellDefinednessError(
                     "pairing functional does not vanish on the relation space",
                     witness=f"tuple {b}, relation {ridx}",
@@ -285,7 +285,7 @@ def duality_isomorphism(e: EndStructure, c: CoendStructure):
                 acc = zero
                 for rs, w in coalg.delta.col_terms(cidx):
                     r, s = divmod(rs, n)
-                    if alpha[r] != zero and beta[s] != zero:
+                    if alpha[r] and beta[s]:
                         acc = field.add(acc, field.mul(w, field.mul(alpha[r], beta[s])))
                 rhs[cidx] = acc
             if list(lhs) != rhs:

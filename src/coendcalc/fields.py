@@ -10,8 +10,10 @@ boundaries.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Union
 
 from .errors import FieldMismatchError, InputFormatError
@@ -22,6 +24,8 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 # Residues must fit a machine word so brute-force oracles stay fast.
 MAX_PRIME = 2**31
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -87,6 +91,19 @@ class Field:
     def is_zero(self, a: Scalar) -> bool:
         return a == self.zero
 
+    # Row kernels on canonical scalars; zero is tested by truthiness.
+    def dot(self, xs, ys) -> Scalar:
+        """The sum of ``xs[i] * ys[i]``."""
+        raise NotImplementedError
+
+    def axpy(self, c: Scalar, xs, ys) -> list:
+        """The row ``xs - c * ys``."""
+        raise NotImplementedError
+
+    def scale_row(self, c: Scalar, xs) -> list:
+        """The row ``c * xs``."""
+        raise NotImplementedError
+
     def parse(self, text: str) -> Scalar:
         """Read a scalar from text, normalizing to canonical form."""
         if isinstance(text, int):
@@ -116,11 +133,11 @@ class RationalField(Field):
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, bool):
@@ -150,6 +167,16 @@ class RationalField(Field):
 
     def inv(self, a):
         return self.div(self.one, a)
+
+    def dot(self, xs, ys):
+        terms = [x * y for x, y in zip(xs, ys) if x and y]
+        return reduce(operator.add, terms) if terms else _ZERO
+
+    def axpy(self, c, xs, ys):
+        return [x - c * y if y else x for x, y in zip(xs, ys)]
+
+    def scale_row(self, c, xs):
+        return [c * x if x else _ZERO for x in xs]
 
     def descriptor(self) -> dict:
         return {"kind": "rational"}
@@ -214,6 +241,17 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return pow(a, -1, self.p)
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
+
+    def axpy(self, c, xs, ys):
+        p = self.p
+        return [(x - c * y) % p if y else x for x, y in zip(xs, ys)]
+
+    def scale_row(self, c, xs):
+        p = self.p
+        return [c * x % p for x in xs]
 
     def descriptor(self) -> dict:
         return {"kind": "prime", "p": self.p}

@@ -42,6 +42,11 @@ def _parse_matrix(field: Field, obj, rows: int, cols: int, where: str) -> Matrix
     return Matrix(field, rows, cols, entries)
 
 
+def _is_dim(value) -> bool:
+    """A JSON dimension: a non-negative integer, where ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _render_matrix(field: Field, m: Matrix) -> list:
     return [[field.render(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
@@ -92,7 +97,7 @@ def _parse_diagram_document(field: Field, data: dict) -> InputDocument:
         if not isinstance(obj, dict) or "name" not in obj or "dim" not in obj:
             raise InputFormatError(f"objects[{idx}] needs 'name' and 'dim'")
         name, dim = obj["name"], obj["dim"]
-        if not isinstance(name, str) or not isinstance(dim, int) or dim < 0:
+        if not isinstance(name, str) or not _is_dim(dim):
             raise InputFormatError(f"objects[{idx}]: bad name or dimension")
         objects.append((name, dim))
     dims = dict(objects)
@@ -126,6 +131,9 @@ def _parse_diagram_document(field: Field, data: dict) -> InputDocument:
         tdata = data["tensor"]
         if not isinstance(tdata, dict) or "unit" not in tdata or "table" not in tdata:
             raise InputFormatError("'tensor' needs 'unit' and 'table'")
+        for key in ("table", "f2"):
+            if not isinstance(tdata.get(key, {}), dict):
+                raise InputFormatError(f"'tensor.{key}' must be an object")
         table = {}
         for key, value in tdata["table"].items():
             parts = key.split(",")
@@ -155,7 +163,7 @@ def _parse_coalgebra_document(field: Field, data: dict) -> InputDocument:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputFormatError("'coalgebra' needs 'dim'")
     n = data["dim"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_dim(n):
         raise InputFormatError("'coalgebra.dim' must be a non-negative integer")
     delta = _parse_matrix(field, data.get("delta", []), n * n, n, "coalgebra delta")
     eps_row = data.get("epsilon", [])
@@ -166,7 +174,7 @@ def _parse_coalgebra_document(field: Field, data: dict) -> InputDocument:
         if not isinstance(mod, dict) or "dim" not in mod or "rho" not in mod:
             raise InputFormatError(f"comodules[{idx}] needs 'dim' and 'rho'")
         d = mod["dim"]
-        if not isinstance(d, int) or d < 0:
+        if not _is_dim(d):
             raise InputFormatError(f"comodules[{idx}]: bad dimension")
         rho = _parse_matrix(field, mod["rho"], d * n, d, f"comodules[{idx}] rho")
         comodules.append(ComodulePresentation(dim=d, rho=rho))

@@ -10,6 +10,15 @@ On square matrices this realizes the matrix-coefficient convention used by
 the diagram layer (coordinate (i, j) multiplies the unit sending basis
 vector i to basis vector j), and it satisfies the standard identity
 ``vec(A @ T @ B) = kron(B^t, A) @ vec(T)``.
+
+Kernel contract: every entry a matrix, span or kernel function returns is
+canonical in its field (see ``fields``), and zero is tested by
+truthiness, which canonical ``Fraction`` and residue zeros both support.
+Products, eliminations and Kronecker products go through the field's row
+kernels (``dot``, ``axpy``, ``scale_row``).  ``Matrix(...)`` coerces and
+shape-checks its entries; ``Matrix._trusted`` does neither and may only
+be given entries computed from canonical ones, since a non-canonical
+entry would change how a report renders.
 """
 
 from __future__ import annotations
@@ -44,6 +53,16 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @classmethod
+    def _trusted(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
+        """A matrix of canonical entries, built without coercion or checks."""
+        m, put = object.__new__(cls), object.__setattr__
+        put(m, "field", field)
+        put(m, "rows", rows)
+        put(m, "cols", cols)
+        put(m, "entries", tuple(entries))
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -68,11 +87,12 @@ class Matrix:
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return cls._trusted(field, n, n,
+                            [one if i == j else zero for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        return cls._trusted(field, rows, cols, [field.zero] * (rows * cols))
 
     # -- access ------------------------------------------------------------
 
@@ -90,12 +110,7 @@ class Matrix:
 
     def col_terms(self, j: int) -> list:
         """Nonzero (row, value) pairs of column j."""
-        zero = self.field.zero
-        return [
-            (i, self.entries[i * self.cols + j])
-            for i in range(self.rows)
-            if self.entries[i * self.cols + j] != zero
-        ]
+        return [(i, x) for i, x in enumerate(self.entries[j :: self.cols]) if x]
 
     def row_list(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -119,20 +134,20 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix addition shape mismatch")
         add = f.add
-        return Matrix(f, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._trusted(f, self.rows, self.cols,
+                               [add(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.entries])
+        return Matrix._trusted(self.field, self.rows, self.cols, [neg(a) for a in self.entries])
 
     def scale(self, s) -> "Matrix":
         s = self.field.coerce(s)
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(s, a) for a in self.entries])
+        return Matrix._trusted(self.field, self.rows, self.cols,
+                               self.field.scale_row(s, self.entries))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f = same_field(self.field, other.field)
@@ -140,38 +155,21 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        add, mul, zero = f.add, f.mul, f.zero
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for l in range(k):
-                    x = arow[l]
-                    if x != zero:
-                        acc = add(acc, mul(x, b[l * m + j]))
-                out.append(acc)
-        return Matrix(f, n, m, out)
+        n, m, k, dot = self.rows, other.cols, self.cols, f.dot
+        a = self.entries
+        bcols = [other.entries[j::m] for j in range(m)]
+        out = [dot(a[i * k : (i + 1) * k], col) for i in range(n) for col in bcols]
+        return Matrix._trusted(f, n, m, out)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product as a tuple."""
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} against {self.rows}x{self.cols}")
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            base = i * self.cols
-            for j, x in enumerate(v):
-                if x != zero:
-                    acc = add(acc, mul(self.entries[base + j], x))
-            out.append(acc)
-        return tuple(out)
+        dot, k, e = self.field.dot, self.cols, self.entries
+        return tuple(dot(e[i * k : (i + 1) * k], v) for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._trusted(
             self.field,
             self.cols,
             self.rows,
@@ -179,8 +177,7 @@ class Matrix:
         )
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.entries)
+        return not any(self.entries)
 
     def __repr__(self):
         body = "; ".join(
@@ -200,30 +197,23 @@ def rref(m: Matrix):
     columns left to right.
     """
     f = m.field
-    zero = f.zero
     rows = [list(m.row(i)) for i in range(m.rows)]
     pivots = []
     r = 0
     for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv_p = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv_p, x) for x in rows[r]]
+        rows[r] = prow = f.scale_row(f.inv(rows[r][c]), rows[r])
         for i in range(m.rows):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            if i != r and rows[i][c]:
+                rows[i] = f.axpy(rows[i][c], rows[i], prow)
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    reduced = Matrix(f, m.rows, m.cols, [x for row in rows for x in row])
+    reduced = Matrix._trusted(f, m.rows, m.cols, [x for row in rows for x in row])
     return reduced, tuple(pivots), len(pivots)
 
 
@@ -274,7 +264,7 @@ def left_inverse(m: Matrix):
     """A matrix L with ``L @ m = I`` for full-column-rank m, else None."""
     f = m.field
     n = m.cols
-    aug = Matrix(
+    aug = Matrix._trusted(
         f,
         m.rows,
         n + m.rows,
@@ -287,7 +277,7 @@ def left_inverse(m: Matrix):
     reduced, pivots, _ = rref(aug)
     if pivots[:n] != tuple(range(n)):
         return None
-    return Matrix(f, n, m.rows, [x for i in range(n) for x in reduced.row(i)[n:]])
+    return Matrix._trusted(f, n, m.rows, [x for i in range(n) for x in reduced.row(i)[n:]])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -297,13 +287,13 @@ def inverse(m: Matrix) -> Matrix:
     f = m.field
     n = m.rows
     ident = Matrix.identity(f, n)
-    aug = Matrix(
+    aug = Matrix._trusted(
         f, n, 2 * n, [x for i in range(n) for x in (*m.row(i), *ident.row(i))]
     )
     reduced, pivots, rk = rref(aug)
     if rk < n or any(p >= n for p in pivots):
         raise ShapeError("matrix is singular")
-    return Matrix(f, n, n, [x for i in range(n) for x in reduced.row(i)[n:]])
+    return Matrix._trusted(f, n, n, [x for i in range(n) for x in reduced.row(i)[n:]])
 
 
 # -- tensor structure ------------------------------------------------------
@@ -315,34 +305,24 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     entry ((i*rows_b + k), (j*cols_b + l)) = a[i, j] * b[k, l].
     """
     f = same_field(a.field, b.field)
-    mul, zero = f.mul, f.zero
     rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [zero] * (rows * cols)
+    out = [f.zero] * (rows * cols)
     for i in range(a.rows):
-        for j in range(a.cols):
-            x = a[i, j]
-            if x == zero:
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                brow = k * b.cols
-                for l in range(b.cols):
-                    out[base + l] = mul(x, b.entries[brow + l])
-    return Matrix(f, rows, cols, out)
+        for j, x in enumerate(a.row(i)):
+            if x:
+                for k in range(b.rows):
+                    base = (i * b.rows + k) * cols + j * b.cols
+                    out[base : base + b.cols] = f.scale_row(x, b.row(k))
+    return Matrix._trusted(f, rows, cols, out)
 
 
 def kron_vec(u: Sequence, v: Sequence, field: Field) -> Vector:
     """Tensor coordinates of two vectors: (u (x) v)[r*len(v) + s] = u[r]*v[s]."""
-    mul, zero = field.mul, field.zero
     n = len(v)
-    out = [zero] * (len(u) * n)
+    out = [field.zero] * (len(u) * n)
     for r, x in enumerate(u):
-        if x == zero:
-            continue
-        base = r * n
-        for s, y in enumerate(v):
-            if y != zero:
-                out[base + s] = mul(x, y)
+        if x:
+            out[r * n : (r + 1) * n] = field.scale_row(x, v)
     return tuple(out)
 
 
@@ -386,7 +366,7 @@ def quotient_split(field: Field, ambient_dim: int, subspace_basis: Iterable) -> 
     for v in vecs:
         if len(v) != ambient_dim:
             raise ShapeError(f"subspace vector of length {len(v)} in dim {ambient_dim}")
-    sub = Matrix(field, len(vecs), ambient_dim, [x for v in vecs for x in v])
+    sub = Matrix._trusted(field, len(vecs), ambient_dim, [x for v in vecs for x in v])
     reduced, pivots, rk = rref(sub)
     pivot_set = set(pivots)
     free = [c for c in range(ambient_dim) if c not in pivot_set]
@@ -403,8 +383,8 @@ def quotient_split(field: Field, ambient_dim: int, subspace_basis: Iterable) -> 
     return QuotientSplit(
         ambient_dim=ambient_dim,
         subspace_basis=tuple(vecs),
-        projection=Matrix(field, q, ambient_dim, proj),
-        section=Matrix(field, ambient_dim, q, sect),
+        projection=Matrix._trusted(field, q, ambient_dim, proj),
+        section=Matrix._trusted(field, ambient_dim, q, sect),
     )
 
 
@@ -428,35 +408,29 @@ class VectorSpan:
         return [tuple(r) for r in self._rows]
 
     def _reduce(self, v: Sequence) -> list:
-        f = self.field
-        zero = f.zero
+        axpy = self.field.axpy
         v = list(v)
         for row, p in zip(self._rows, self._pivots):
-            if v[p] != zero:
-                factor = v[p]
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
+            if v[p]:
+                v = axpy(v[p], v, row)
         return v
 
     def contains(self, v: Sequence) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self._reduce(v))
+        return not any(self._reduce(v))
 
     def add(self, v: Sequence) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         if len(v) != self.ambient_dim:
             raise ShapeError("vector has the wrong ambient dimension")
         f = self.field
-        zero = f.zero
         v = self._reduce(v)
-        pivot = next((i for i, x in enumerate(v) if x != zero), None)
+        pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv_p = f.inv(v[pivot])
-        v = [f.mul(inv_p, x) for x in v]
-        for i, (row, p) in enumerate(zip(self._rows, self._pivots)):
-            if row[pivot] != zero:
-                factor = row[pivot]
-                self._rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(row, v)]
+        v = f.scale_row(f.inv(v[pivot]), v)
+        for i, row in enumerate(self._rows):
+            if row[pivot]:
+                self._rows[i] = f.axpy(row[pivot], row, v)
         at = next((i for i, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
         self._rows.insert(at, v)
         self._pivots.insert(at, pivot)

@@ -24,7 +24,7 @@ from .coend import (
 )
 from .diagram import DiagramPresentation
 from .errors import ShapeError, WellDefinednessError
-from .linalg import Matrix, kernel_basis, kron, rank, unvec_matrix, vec_matrix
+from .linalg import Matrix, kernel_basis, kron, rank, unvec_matrix
 from .reports import CheckReport
 
 
@@ -52,7 +52,11 @@ def comodule_hom_span(
     """Basis of the space of comodule morphisms from m to n.
 
     A map g must satisfy rho_n . g = (g (x) id) . rho_m; the solutions
-    form the kernel of a linear system over the entries of g.
+    form the kernel of a linear system over the entries of g.  Column
+    s*dn + r of the system, which belongs to the elementary g = E_rs, is
+    read off the coactions without a product: rho_n . g is column r of
+    rho_n placed in column s, and (g (x) id) . rho_m is row block s of
+    rho_m moved to row block r.
     """
     for mod in (m, n):
         report = verify_comodule(c, mod)
@@ -60,21 +64,21 @@ def comodule_hom_span(
             raise ShapeError(f"comodule violates an axiom: {report.failures()[0]}")
     field = c.field
     dm, dn, nc = m.dim, n.dim, c.dim
-    cols = []
-    ident = Matrix.identity(field, nc)
-    for flat in range(dn * dm):
-        g = unvec_matrix(
-            field,
-            [field.one if k == flat else field.zero for k in range(dn * dm)],
-            dn,
-            dm,
-        )
-        defect = n.rho * g - kron(g, ident) * m.rho
-        cols.append(vec_matrix(defect))
-    if cols:
-        system = Matrix.from_cols(field, cols)
-    else:
-        system = Matrix(field, dn * nc * dm, 0, [])
+    rows, width = dn * nc, dn * dm  # rows of rho_n . g; unknowns in g
+    system = [field.zero] * (rows * dm * width)
+    for s in range(dm):
+        block_s = m.rho.entries[s * nc * dm : (s + 1) * nc * dm]
+        for r in range(dn):
+            flat = s * dn + r
+            column_r = n.rho.entries[r::dn]
+            system[s * rows * width + flat : (s + 1) * rows * width : width] = column_r
+            for j in range(dm):
+                for t, val in enumerate(block_s[j::dm]):
+                    if val:
+                        k = (j * rows + r * nc + t) * width + flat
+                        system[k] = field.sub(system[k], val)
+    # Rebinding drops the assembly list before the elimination needs memory.
+    system = Matrix._trusted(field, rows * dm, width, system)
     return [unvec_matrix(field, v, dn, dm) for v in kernel_basis(system)]
 
 
@@ -124,9 +128,8 @@ def canonical_map(
         phi_v = Matrix.from_cols(field, cols)
     else:
         phi_v = Matrix(field, nc, 0, [])
-    zero = field.zero
     for ridx, rel in enumerate(coend.relation_basis):
-        if any(x != zero for x in phi_v.apply(rel)):
+        if any(phi_v.apply(rel)):
             raise WellDefinednessError(
                 "canonical map does not vanish on the relation space",
                 witness=f"relation {ridx}",

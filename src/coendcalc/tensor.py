@@ -261,15 +261,15 @@ def coend_multiplication(c: CoendStructure, t: TensorData):
     report = CheckReport()
     witness = None
     for ridx, rel in enumerate(c.relation_basis):
-        support = [(k, val) for k, val in enumerate(rel) if val != zero]
+        support = [(k, val) for k, val in enumerate(rel) if val]
         for w in range(total):
             acc = [zero] * n
             for k, val in support:
                 col = columns[k * total + w]
                 for a in range(n):
-                    if col[a] != zero:
+                    if col[a]:
                         acc[a] = field.add(acc[a], field.mul(val, col[a]))
-            if any(x != zero for x in acc):
+            if any(acc):
                 witness = f"relation {ridx} against generator {gen_labels[w]}"
                 break
         if witness:
@@ -278,15 +278,15 @@ def coend_multiplication(c: CoendStructure, t: TensorData):
 
     witness = None
     for ridx, rel in enumerate(c.relation_basis):
-        support = [(k, val) for k, val in enumerate(rel) if val != zero]
+        support = [(k, val) for k, val in enumerate(rel) if val]
         for v in range(total):
             acc = [zero] * n
             for k, val in support:
                 col = columns[v * total + k]
                 for a in range(n):
-                    if col[a] != zero:
+                    if col[a]:
                         acc[a] = field.add(acc[a], field.mul(val, col[a]))
-            if any(x != zero for x in acc):
+            if any(acc):
                 witness = f"relation {ridx} against generator {gen_labels[v]}"
                 break
         if witness:
@@ -296,16 +296,15 @@ def coend_multiplication(c: CoendStructure, t: TensorData):
     free = []
     for a in range(n):
         fc = next(
-            k for k in range(total) if c.split.section[k, a] != zero
+            k for k in range(total) if c.split.section[k, a]
         )
         free.append(fc)
     product_cols = [
         columns[free[a] * total + free[b]] for a in range(n) for b in range(n)
     ]
-    if product_cols:
-        product = Matrix.from_cols(field, product_cols)
-    else:
-        product = Matrix(field, n, 0, []) if n else Matrix(field, 0, 0, [])
+    product = Matrix._trusted(
+        field, n * n, n, [x for col in product_cols for x in col]
+    ).transpose()
     return product, report
 
 
@@ -388,13 +387,13 @@ def verify_bialgebra(b: BialgebraData) -> CheckReport:
     unit = b.algebra.unit
     lhs = {}
     for r, w in enumerate(unit):
-        if w == zero:
+        if not w:
             continue
         for pq, w2 in delta_cols[r]:
             lhs[pq] = field.add(lhs.get(pq, zero), field.mul(w, w2))
     rhs = {}
     for pq, val in enumerate(kron_vec(unit, unit, field)):
-        if val != zero:
+        if val:
             rhs[pq] = val
     grouplike = all(
         lhs.get(k, zero) == rhs.get(k, zero) for k in set(lhs) | set(rhs)
@@ -407,7 +406,7 @@ def verify_bialgebra(b: BialgebraData) -> CheckReport:
 
     eps_unit = zero
     for r, w in enumerate(unit):
-        if w != zero:
+        if w:
             eps_unit = field.add(eps_unit, field.mul(w, eps[r]))
     report.add(
         "counit of unit is 1",
@@ -477,7 +476,7 @@ def conjugation_quotient_map(
         rep = src.split.section.col(a)
         out = [field.zero] * dst.layout.total
         for coord, val in enumerate(rep):
-            if val == field.zero:
+            if not val:
                 continue
             name, flat = src.layout.locate(coord)
             dim = src.diagram.dim(name)
@@ -490,7 +489,7 @@ def conjugation_quotient_map(
             moved = vec_matrix(conjugators[name] * gen * inverses[name])
             off = dst.layout.offsets[name]
             for k, entry in enumerate(moved):
-                if entry != field.zero:
+                if entry:
                     out[off + k] = field.add(out[off + k], entry)
         cols.append(dst.split.projection.apply(out))
     if not cols:

@@ -1,5 +1,7 @@
 """Shared diagram and coalgebra fixtures for the test suite."""
 
+import pathlib
+
 from coendcalc import (
     ComodulePresentation,
     DiagramPresentation,
@@ -113,6 +115,19 @@ def regular_comodule_setup(field, d=2):
     return coalg, [regular]
 
 
+def comatrix_with_two_comodules(field, d=2):
+    """The d x d comatrix coalgebra with its regular comodule (dim d^2) and
+    its fundamental comodule (dim d, x_j -> sum_i x_i (x) C_ij)."""
+    coalg, (regular,) = regular_comodule_setup(field, d)
+    n = d * d
+    rho = [field.zero] * (d * n * d)
+    for i in range(d):
+        for j in range(d):
+            rho[(i * n + i * d + j) * d + j] = field.one
+    fundamental = ComodulePresentation(dim=d, rho=Matrix(field, d * n, d, rho))
+    return coalg, [regular, fundamental]
+
+
 def two_grouplike_setup(field):
     """The two-grouplike coalgebra with its two 1-dim comodules."""
     coalg = grouplike_coalgebra(field, 2)
@@ -141,3 +156,14 @@ def all_diagram_fixtures(field, max_comatrix_dim=4):
     coalg2, mods2 = two_grouplike_setup(field)
     fixtures.append(("two-grouplike diagram", diagram_from_comodules(coalg2, mods2)))
     return fixtures
+
+
+def shipped_samples(field):
+    """Every document in sample_inputs/, parsed over ``field``, by file name."""
+    from coendcalc.inputdoc import parse_document
+
+    samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+    return [
+        (path.name, parse_document(path.read_text(), field_override=field))
+        for path in sorted(samples.glob("*.json"))
+    ]

@@ -8,11 +8,20 @@ structure-constant paths are checked against a second implementation.
 
 def oracle_rank(field, rows):
     """Rank by straightforward gaussian elimination over the field."""
+    return len(oracle_rref(field, rows)[1])
+
+
+def oracle_rref(field, rows):
+    """Reduced row echelon form by straightforward gaussian elimination.
+
+    Returns (reduced rows, pivot columns); zero rows stay at the bottom.
+    """
     rows = [list(r) for r in rows]
     if not rows:
-        return 0
+        return [], []
     ncols = len(rows[0])
     rank = 0
+    pivots = []
     for col in range(ncols):
         pivot = None
         for i in range(rank, len(rows)):
@@ -31,8 +40,56 @@ def oracle_rank(field, rows):
                     field.sub(x, field.mul(factor, y))
                     for x, y in zip(rows[i], rows[rank])
                 ]
+        pivots.append(col)
         rank += 1
-    return rank
+    return rows, pivots
+
+
+def oracle_matmul(field, a, b):
+    """Row-major entries of the product of two matrices, one sum per entry."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = field.zero
+            for k in range(a.cols):
+                acc = field.add(acc, field.mul(a[i, k], b[k, j]))
+            out.append(acc)
+    return out
+
+
+def oracle_apply(field, m, v):
+    """Matrix-vector product, one sum per row."""
+    out = []
+    for i in range(m.rows):
+        acc = field.zero
+        for j in range(m.cols):
+            acc = field.add(acc, field.mul(m[i, j], v[j]))
+        out.append(acc)
+    return tuple(out)
+
+
+def oracle_kernel(field, m):
+    """Right null space basis read off oracle_rref, one vector per free column."""
+    rows, pivots = oracle_rref(field, m.row_list())
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [field.zero] * m.cols
+        v[free] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(rows[r][free])
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_kron(field, a, b):
+    """Row-major entries of the Kronecker product, entry by entry."""
+    return [
+        field.mul(a[i, j], b[k, l])
+        for i in range(a.rows)
+        for k in range(b.rows)
+        for j in range(a.cols)
+        for l in range(b.cols)
+    ]
 
 
 def flatten_row_major(m):
@@ -177,3 +234,82 @@ def oracle_relation_rows(field, diagram):
 def oracle_relation_rank(field, diagram):
     """Rank of the relation space spanned by oracle_relation_rows."""
     return oracle_rank(field, oracle_relation_rows(field, diagram))
+
+
+def oracle_relation_space(diagram):
+    """The relation vectors of ``relation_space``, built with products.
+
+    For every pair (X, Y), span basis matrix A: X -> Y and elementary
+    T: F(Y) -> F(X), in that order, the vector is vec(T*A) in block X
+    minus vec(A*T) in block Y, with T and both products formed as
+    matrices.
+    """
+    from coendcalc import Matrix
+    from coendcalc.coend import BlockLayout
+    from coendcalc.diagram import hom_basis
+    from coendcalc.linalg import vec_matrix
+
+    field = diagram.field
+    layout = BlockLayout(diagram)
+    relations = []
+    names = diagram.names()
+    for x in names:
+        dx = diagram.dim(x)
+        for y in names:
+            dy = diagram.dim(y)
+            basis = hom_basis(diagram, x, y).basis
+            if not basis or dx == 0 or dy == 0:
+                continue
+            for a in basis:
+                for r in range(dx):
+                    for c in range(dy):
+                        t = Matrix(
+                            field,
+                            dx,
+                            dy,
+                            [
+                                field.one if (i, j) == (r, c) else field.zero
+                                for i in range(dx)
+                                for j in range(dy)
+                            ],
+                        )
+                        vec = [field.zero] * layout.total
+                        off_x = layout.offsets[x]
+                        for k, val in enumerate(vec_matrix(t * a)):
+                            vec[off_x + k] = val
+                        off_y = layout.offsets[y]
+                        for k, val in enumerate(vec_matrix(a * t)):
+                            vec[off_y + k] = field.sub(vec[off_y + k], val)
+                        relations.append(tuple(vec))
+    return relations
+
+
+def oracle_comodule_hom_span(c, m, n):
+    """The comodule morphism basis of ``comodule_hom_span``, built with products.
+
+    Each elementary g (flat index in vec order) contributes the column
+    vec(rho_n * g - kron(g, I) * rho_m), with g, kron(g, I) and both
+    products formed as matrices; the basis is the kernel of the stacked
+    columns.
+    """
+    from coendcalc import Matrix, kernel_basis, kron
+    from coendcalc.linalg import unvec_matrix, vec_matrix
+
+    field = c.field
+    dm, dn, nc = m.dim, n.dim, c.dim
+    cols = []
+    ident = Matrix.identity(field, nc)
+    for flat in range(dn * dm):
+        g = unvec_matrix(
+            field,
+            [field.one if k == flat else field.zero for k in range(dn * dm)],
+            dn,
+            dm,
+        )
+        defect = n.rho * g - kron(g, ident) * m.rho
+        cols.append(vec_matrix(defect))
+    if cols:
+        system = Matrix.from_cols(field, cols)
+    else:
+        system = Matrix(field, dn * nc * dm, 0, [])
+    return [unvec_matrix(field, v, dn, dm) for v in kernel_basis(system)]

@@ -221,3 +221,44 @@ def test_prime_field_document(tmp_path):
     doc = parse_document(json.dumps(data))
     assert doc.field == GF(5)
     assert doc.diagram.span("X", "X")[0][0, 1] == 2
+
+
+def _with_true_dim(where):
+    """A document that passes except for ``"dim": true`` at ``where``."""
+    data = json.loads(ROUNDTRIP_DOC if where != "objects" else COMATRIX_DOC)
+    if where == "objects":
+        data["objects"] = [{"name": "X", "dim": True}]
+        data["homs"] = []
+    elif where == "coalgebra":
+        data["coalgebra"] = {"dim": True, "delta": [["1"]], "epsilon": ["1"],
+                             "comodules": [{"dim": 1, "rho": [["1"]]}]}
+    else:
+        data["coalgebra"]["comodules"][0]["dim"] = True
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("where", ["objects", "coalgebra", "comodules"])
+def test_bool_dimension_is_an_input_error(tmp_path, capsys, where):
+    text = _with_true_dim(where)
+    with pytest.raises(InputFormatError):
+        parse_document(text)
+    command = "validate" if where == "objects" else "roundtrip"
+    assert main([command, write(tmp_path, "doc.json", text)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section", ["table", "f2"])
+def test_non_object_tensor_section_is_an_input_error(tmp_path, capsys, section):
+    data = json.loads(Z2_DOC)
+    data["tensor"][section] = [["g0", "g0"]]
+    path = write(tmp_path, "doc.json", json.dumps(data))
+    assert main(["bialgebra", path]) == 2
+    assert capsys.readouterr().err == f"error: 'tensor.{section}' must be an object\n"
+
+
+def test_invalid_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(COMATRIX_DOC.replace('"X"', '"\xc4"').encode("latin-1"))
+    assert main(["coend", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err and len(err.splitlines()) == 1

@@ -13,6 +13,7 @@ from coendcalc import (
     coalgebra_structure,
     comatrix_coalgebra,
     compute_coend,
+    diagram_from_comodules,
     grouplike_coalgebra,
     induced_coaction,
     is_coalgebra_map,
@@ -31,13 +32,21 @@ from coendcalc.linalg import kron_vec, rank
 
 from fixtures import (
     all_diagram_fixtures,
+    comatrix_with_two_comodules,
     comatrix_diagram,
     connected_pair,
     full_matrix_diagram,
     isolated_points,
+    regular_comodule_setup,
+    shipped_samples,
     two_object_unsaturated,
 )
-from oracles import oracle_commutator_span_dim, oracle_comatrix_delta, oracle_rank
+from oracles import (
+    oracle_commutator_span_dim,
+    oracle_comatrix_delta,
+    oracle_rank,
+    oracle_relation_space,
+)
 
 
 # -- relation space ----------------------------------------------------------
@@ -64,6 +73,23 @@ def test_relations_connected_pair():
     assert oracle_rank(QQ, rels) == 1
     span = {tuple(r) for r in rels if any(x != 0 for x in r)}
     assert span == {(Fraction(1), Fraction(-1))} | span  # e_X - e_Y direction
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_relation_space_matches_product_oracle(field):
+    """Direct assembly gives the product-based vectors, in the same order."""
+    cases = [("two_object_unsaturated", two_object_unsaturated(field))]
+    for name, doc in shipped_samples(field):
+        if doc.diagram is None:
+            cases.append((name, diagram_from_comodules(doc.coalgebra, doc.comodules)))
+        else:
+            cases.append((name, doc.diagram))
+    for d in (2, 3):
+        cases.append((f"regular d={d}", diagram_from_comodules(*regular_comodule_setup(field, d))))
+    cases.append(("regular and fundamental d=2",
+                  diagram_from_comodules(*comatrix_with_two_comodules(field))))
+    for name, d in cases:
+        assert relation_space(d, require_closed=False) == oracle_relation_space(d), name
 
 
 def test_relation_space_rejects_unsaturated():

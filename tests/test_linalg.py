@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendcalc import GF, QQ, Matrix, ShapeError, kernel_basis, kron, quotient_split, rref
 from coendcalc.linalg import (
@@ -13,6 +15,17 @@ from coendcalc.linalg import (
     unvec_matrix,
     vec_matrix,
 )
+
+from oracles import (
+    oracle_apply,
+    oracle_kernel,
+    oracle_kron,
+    oracle_matmul,
+    oracle_rank,
+    oracle_rref,
+)
+
+KERNEL_FIELDS = [QQ, GF(7), GF(2**31 - 1)]
 
 
 def random_matrix(field, rows, cols, rng):
@@ -174,6 +187,8 @@ def test_vector_span():
     assert span.dim == 2
     assert span.contains((1, 0, -1))
     assert not span.contains((0, 0, 1))
+    # integer input comes back as canonical Fractions
+    assert_canonical(QQ, [x for row in span.basis() for x in row])
 
 
 def test_matrix_shape_errors():
@@ -189,3 +204,119 @@ def test_matrix_immutable():
     m = Matrix.identity(QQ, 2)
     with pytest.raises(AttributeError):
         m.rows = 3
+
+
+# -- row kernels against plain loops ---------------------------------------
+
+
+def random_scalar(field, rng):
+    if field is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return rng.randrange(field.p)
+
+
+def sparse_matrix(field, rows, cols, rng):
+    """Mostly zero entries, and about one row in four entirely zero."""
+    entries = []
+    for _ in range(rows):
+        zero_row = rng.random() < 0.25
+        entries += [
+            0 if zero_row or rng.random() < 0.6 else random_scalar(field, rng)
+            for _ in range(cols)
+        ]
+    return Matrix(field, rows, cols, entries)
+
+
+def assert_canonical(field, values):
+    """Fractions over QQ, residues in [0, p) over GF(p): what render expects."""
+    for x in values:
+        if field is QQ:
+            assert type(x) is Fraction, x
+        else:
+            assert type(x) is int and 0 <= x < field.p, x
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_products_and_kron_match_plain_loops(field):
+    rng = random.Random(23)
+    for _ in range(40):
+        n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a, b = sparse_matrix(field, n, k, rng), sparse_matrix(field, k, m, rng)
+        v = sparse_matrix(field, 1, k, rng).row(0)
+        product, image, tensor = a * b, a.apply(v), kron(a, b)
+        assert list(product.entries) == oracle_matmul(field, a, b)
+        assert image == oracle_apply(field, a, v)
+        assert list(tensor.entries) == oracle_kron(field, a, b)
+        for values in (product.entries, image, tensor.entries):
+            assert_canonical(field, values)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_eliminations_match_plain_loops(field):
+    rng = random.Random(29)
+    for _ in range(40):
+        m = sparse_matrix(field, rng.randint(0, 7), rng.randint(0, 7), rng)
+        reduced, pivots, rk = rref(m)
+        rows, oracle_pivots = oracle_rref(field, m.row_list())
+        assert reduced.row_list() == rows
+        assert list(pivots) == oracle_pivots and rk == len(oracle_pivots)
+        basis = kernel_basis(m)
+        assert basis == oracle_kernel(field, m)
+        assert_canonical(field, reduced.entries)
+        assert_canonical(field, [x for v in basis for x in v])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_vector_span_matches_plain_loops(field):
+    rng = random.Random(31)
+    for _ in range(30):
+        dim = rng.randint(1, 7)
+        span, added = VectorSpan(field, dim), []
+        for _ in range(rng.randint(0, 8)):
+            # half the time a combination of what is already there
+            if added and rng.random() < 0.5:
+                c = random_scalar(field, rng)
+                v = [field.add(x, field.mul(c, y))
+                     for x, y in zip(rng.choice(added), rng.choice(added))]
+            else:
+                v = sparse_matrix(field, 1, dim, rng).row(0)
+            grows = oracle_rank(field, added + [list(v)]) > oracle_rank(field, added)
+            assert span.contains(v) is not grows
+            assert span.add(v) is grows
+            added.append(list(v))
+        rows, pivots = oracle_rref(field, added)
+        assert span.basis() == [tuple(r) for r in rows[: len(pivots)]]
+        assert_canonical(field, [x for r in span.basis() for x in r])
+
+
+def row_pairs(field):
+    """Equal-length rows over ``field``, half their entries zero."""
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+    entry = st.one_of(st.just(field.zero), scalar)
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(entry, min_size=n, max_size=n),
+            st.lists(entry, min_size=n, max_size=n),
+            scalar,
+        )
+    )
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_row_kernels_match_field_arithmetic(field):
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(row_pairs(field))
+    def check(case):
+        xs, ys, c = case
+        plain_dot = field.zero
+        for x, y in zip(xs, ys):
+            plain_dot = field.add(plain_dot, field.mul(x, y))
+        assert field.dot(xs, ys) == plain_dot
+        assert field.axpy(c, xs, ys) == [field.sub(x, field.mul(c, y)) for x, y in zip(xs, ys)]
+        assert field.scale_row(c, xs) == [field.mul(c, x) for x in xs]
+        assert_canonical(field, [field.dot(xs, ys), *field.axpy(c, xs, ys), *field.scale_row(c, xs)])
+
+    check()

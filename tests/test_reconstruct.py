@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coendcalc import (
+    GF,
     QQ,
     ComodulePresentation,
     Matrix,
@@ -22,7 +23,13 @@ from coendcalc import (
 )
 from coendcalc.linalg import rank
 
-from fixtures import regular_comodule_setup, two_grouplike_setup
+from fixtures import (
+    comatrix_with_two_comodules,
+    regular_comodule_setup,
+    shipped_samples,
+    two_grouplike_setup,
+)
+from oracles import oracle_comodule_hom_span
 
 
 def grouplike_comodule(field, index, count):
@@ -62,6 +69,23 @@ def test_hom_span_regular_comodule_endomorphisms():
     ident = Matrix.identity(QQ, 4)
     for g in span:
         assert regular.rho * g == kron(g, ident) * regular.rho
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_hom_span_matches_product_oracle(field):
+    """Direct assembly gives the product-based hom-span basis."""
+    cases = [
+        (name, doc.coalgebra, doc.comodules)
+        for name, doc in shipped_samples(field)
+        if doc.coalgebra is not None
+    ]
+    for d in (2, 3):
+        cases.append((f"regular d={d}", *regular_comodule_setup(field, d)))
+    cases.append(("regular and fundamental d=2", *comatrix_with_two_comodules(field)))
+    for name, coalg, mods in cases:
+        for m in mods:
+            for n in mods:
+                assert comodule_hom_span(coalg, m, n) == oracle_comodule_hom_span(coalg, m, n), name
 
 
 def test_hom_span_rejects_broken_comodule():
