@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from .diagram import DiagramPresentation, hom_basis, validate_diagram
 from .errors import ClosureError, InternalConsistencyError, WellDefinednessError
 from .fields import Field
-from .linalg import (
-    Matrix,
-    QuotientSplit,
-    VectorSpan,
-    kron,
-    kron_vec,
-    quotient_split,
-)
+from .linalg import Matrix, QuotientSplit, SparseMap, VectorSpan, kron_vec, quotient_split
 from .reports import CheckReport
 
 
@@ -49,13 +42,6 @@ class BlockLayout:
             if off <= coordinate < off + self.sizes[name]:
                 return name, coordinate - off
         raise IndexError(f"coordinate {coordinate} outside V (dim {self.total})")
-
-    def embed(self, field: Field, name: str, block_vec) -> tuple:
-        out = [field.zero] * self.total
-        off = self.offsets[name]
-        for i, x in enumerate(block_vec):
-            out[off + i] = x
-        return tuple(out)
 
 
 def relation_space(d: DiagramPresentation, require_closed: bool = True) -> list:
@@ -120,13 +106,9 @@ class CoendStructure:
     def basis_coordinates(self) -> list:
         """Per basis vector, the generator (object, i, j) its section picks."""
         out = []
-        for a in range(self.dim):
-            fc = next(
-                c for c in range(self.ambient_dim) if self.split.section[c, a]
-            )
+        for fc in self.split.free:
             name, flat = self.layout.locate(fc)
-            d = self.diagram.dim(name)
-            out.append((name, flat // d, flat % d))
+            out.append((name, *divmod(flat, self.diagram.dim(name))))
         return out
 
     def basis_labels(self) -> list:
@@ -186,35 +168,27 @@ class CoalgebraData:
 
 
 def generator_coalgebra_maps(c: CoendStructure):
-    """The generator-level comultiplication and counit maps on V.
+    """The generator-level comultiplication and counit, column by column.
 
     Columns are indexed by the generators of every block; the coproduct of
     generator (i, j) of block X is the sum over k of the tensor of the
-    images of (i, k) and (k, j).
+    images of (i, k) and (k, j), and its counit is the Kronecker delta.
     """
-    field = c.diagram.field
-    n = c.dim
-    layout = c.layout
-    delta_cols = []
-    eps_row = []
-    for name in layout.names:
-        d = c.diagram.dim(name)
-        imap = c.structure_maps[name]
+    field, n = c.diagram.field, c.dim
+    delta_cols, eps_row = [], []
+    for name in c.layout.names:
+        d, imap = c.diagram.dim(name), c.structure_maps[name]
         for i in range(d):
             for j in range(d):
                 acc = [field.zero] * (n * n)
                 for k in range(d):
-                    left = imap.col(i * d + k)
-                    right = imap.col(k * d + j)
-                    for idx, val in enumerate(kron_vec(left, right, field)):
+                    tensor = kron_vec(imap.col(i * d + k), imap.col(k * d + j), field)
+                    for idx, val in enumerate(tensor):
                         if val:
                             acc[idx] = field.add(acc[idx], val)
-                delta_cols.append(tuple(acc))
+                delta_cols.append(acc)
                 eps_row.append(field.one if i == j else field.zero)
-    delta_v = Matrix._trusted(field, len(delta_cols), n * n,
-                              [x for col in delta_cols for x in col]).transpose()
-    eps_v = Matrix(field, 1, layout.total, eps_row)
-    return delta_v, eps_v
+    return delta_cols, eps_row
 
 
 def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
@@ -222,115 +196,66 @@ def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
 
     The candidate maps are assembled from the generator-level formulas and
     verified to annihilate every relation basis vector before being read
-    off on the section's representatives.
+    off on the free columns, which the section picks.
     """
-    n = c.dim
-    delta_v, eps_v = generator_coalgebra_maps(c)
-    for rel in c.relation_basis:
-        if any(delta_v.apply(rel)):
-            raise WellDefinednessError(
-                "comultiplication does not vanish on the relation space",
-                witness=rel,
-            )
-        if eps_v.apply(rel)[0]:
-            raise WellDefinednessError(
-                "counit does not vanish on the relation space", witness=rel
-            )
-    delta = delta_v * c.split.section
-    epsilon = eps_v * c.split.section
-    return CoalgebraData(dim=n, delta=delta, epsilon=epsilon)
+    field, n, free = c.diagram.field, c.dim, c.split.free
+    delta_cols, eps_row = generator_coalgebra_maps(c)
+    rows = [x for col in delta_cols for x in col]
+    delta_v = Matrix._trusted(field, len(delta_cols), n * n, rows).transpose()
+    eps_v = Matrix._trusted(field, 1, len(eps_row), eps_row)
+    maps = (("comultiplication", delta_v), ("counit", eps_v))
+    failure = next(
+        ((what, rel) for rel in c.relation_basis for what, m in maps if any(m.apply(rel))), None
+    )
+    if failure is not None:
+        what, rel = failure
+        raise WellDefinednessError(f"{what} does not vanish on the relation space", witness=rel)
+    delta = Matrix._trusted(field, n, n * n, [x for a in free for x in delta_cols[a]])
+    epsilon = Matrix._trusted(field, 1, n, [eps_row[a] for a in free])
+    return CoalgebraData(dim=n, delta=delta.transpose(), epsilon=epsilon)
+
+
+def _triple(key: int, n: int) -> tuple:
+    """The coordinate (p, q, s) of index (p * n + q) * n + s."""
+    return key // (n * n), key // n % n, key % n
 
 
 def verify_coalgebra(c: CoalgebraData) -> CheckReport:
-    """Exact coassociativity and counit laws, with the first bad coordinate."""
-    report = CheckReport()
-    field = c.field
+    """Coassociativity (delta (x) 1) delta == (1 (x) delta) delta and the
+    counit laws (eps (x) 1) delta == 1 == (1 (x) eps) delta, each with the
+    first bad coordinate."""
     n = c.dim
-    zero = field.zero
-    cols = [c.delta.col_terms(a) for a in range(n)]
-    eps = c.epsilon.row(0) if n else ()
-
-    witness = None
-    for a in range(n):
-        lhs, rhs = {}, {}
-        for rs, w in cols[a]:
-            r, s = divmod(rs, n)
-            for pq, w2 in cols[r]:
-                p, q = divmod(pq, n)
-                key = (p, q, s)
-                lhs[key] = field.add(lhs.get(key, zero), field.mul(w, w2))
-            for qt, w2 in cols[s]:
-                q2, t = divmod(qt, n)
-                key = (r, q2, t)
-                rhs[key] = field.add(rhs.get(key, zero), field.mul(w, w2))
-        for key in set(lhs) | set(rhs):
-            if lhs.get(key, zero) != rhs.get(key, zero):
-                witness = f"basis {a}, coordinate {key}"
-                break
-        if witness:
-            break
-    report.add("coassociativity", witness is None, witness)
-
-    for side in ("left", "right"):
-        witness = None
-        for a in range(n):
-            acc = [zero] * n
-            for rs, w in cols[a]:
-                r, s = divmod(rs, n)
-                if side == "left":
-                    acc[s] = field.add(acc[s], field.mul(eps[r], w))
-                else:
-                    acc[r] = field.add(acc[r], field.mul(eps[s], w))
-            expected = [field.one if t == a else zero for t in range(n)]
-            for t in range(n):
-                if acc[t] != expected[t]:
-                    witness = f"basis {a}, coordinate {t}"
-                    break
-            if witness:
-                break
-        report.add(f"counit law ({side})", witness is None, witness)
+    delta, eps = SparseMap.from_matrix(c.delta), SparseMap.from_matrix(c.epsilon)
+    one = SparseMap.identity(c.field, n)
+    report = CheckReport()
+    report.add_equal(
+        "coassociativity", delta.kron(one) @ delta, one.kron(delta) @ delta,
+        lambda a, key: f"basis {a}, coordinate {_triple(key, n)}",
+    )
+    for side, counit in (("left", eps.kron(one)), ("right", one.kron(eps))):
+        report.add_equal(
+            f"counit law ({side})", counit @ delta, one, lambda a, t: f"basis {a}, coordinate {t}"
+        )
     return report
 
 
-def is_coalgebra_map(
-    src: CoalgebraData, dst: CoalgebraData, phi: Matrix
-) -> CheckReport:
-    """Check delta_dst . phi == (phi (x) phi) . delta_src and counits match."""
+def is_coalgebra_map(src: CoalgebraData, dst: CoalgebraData, phi: Matrix) -> CheckReport:
+    """Check delta_dst . phi == (phi (x) phi) . delta_src and
+    eps_dst . phi == eps_src."""
+    phi = SparseMap.from_matrix(phi)
     report = CheckReport()
-    field = src.field
-    n_src, n_dst = src.dim, dst.dim
-    zero = field.zero
-    witness = None
-    for a in range(n_src):
-        image = phi.col(a)
-        lhs = {}
-        for r, w in ((r, w) for r, w in enumerate(image) if w):
-            for pq, w2 in dst.delta.col_terms(r):
-                lhs[pq] = field.add(lhs.get(pq, zero), field.mul(w, w2))
-        rhs = {}
-        for rs, w in src.delta.col_terms(a):
-            r, s = divmod(rs, n_src)
-            for pq, val in enumerate(kron_vec(phi.col(r), phi.col(s), field)):
-                if val:
-                    rhs[pq] = field.add(rhs.get(pq, zero), field.mul(w, val))
-        for key in set(lhs) | set(rhs):
-            if lhs.get(key, zero) != rhs.get(key, zero):
-                witness = f"basis {a}, tensor coordinate {divmod(key, n_dst)}"
-                break
-        if witness:
-            break
-    report.add("comultiplication preserved", witness is None, witness)
-
-    witness = None
-    for a in range(n_src):
-        lhs = zero
-        for r, w in enumerate(phi.col(a)):
-            if w:
-                lhs = field.add(lhs, field.mul(dst.epsilon[0, r], w))
-        if lhs != src.epsilon[0, a]:
-            witness = f"basis {a}"
-            break
-    report.add("counit preserved", witness is None, witness)
+    report.add_equal(
+        "comultiplication preserved",
+        SparseMap.from_matrix(dst.delta) @ phi,
+        phi.kron(phi) @ SparseMap.from_matrix(src.delta),
+        lambda a, key: f"basis {a}, tensor coordinate {divmod(key, dst.dim)}",
+    )
+    report.add_equal(
+        "counit preserved",
+        SparseMap.from_matrix(dst.epsilon) @ phi,
+        SparseMap.from_matrix(src.epsilon),
+        lambda a, _: f"basis {a}",
+    )
     return report
 
 
@@ -343,71 +268,40 @@ class Coaction:
 
 
 def verify_coaction(coalg: CoalgebraData, rho: Matrix, dim: int) -> CheckReport:
-    """Coassociativity and counit law of one coaction matrix."""
+    """The shape of one coaction matrix, then coassociativity
+    (rho (x) 1) rho == (1 (x) delta) rho and the counit law
+    (1 (x) eps) rho == 1."""
     report = CheckReport()
-    field = coalg.field
     n = coalg.dim
-    zero = field.zero
     if rho.rows != dim * n or rho.cols != dim:
         report.fail("shape", witness=f"expected {(dim * n)}x{dim}, got {rho.rows}x{rho.cols}")
         return report
     report.ok("shape")
-
-    witness = None
-    for j in range(dim):
-        terms = rho.col_terms(j)
-        lhs, rhs = {}, {}
-        for ia, w in terms:
-            i, a = divmod(ia, n)
-            for ia2, w2 in rho.col_terms(i):
-                i2, a2 = divmod(ia2, n)
-                key = (i2, a2, a)
-                lhs[key] = field.add(lhs.get(key, zero), field.mul(w, w2))
-            for rs, w2 in coalg.delta.col_terms(a):
-                r, s = divmod(rs, n)
-                key = (i, r, s)
-                rhs[key] = field.add(rhs.get(key, zero), field.mul(w, w2))
-        for key in set(lhs) | set(rhs):
-            if lhs.get(key, zero) != rhs.get(key, zero):
-                witness = f"column {j}, coordinate {key}"
-                break
-        if witness:
-            break
-    report.add("coaction coassociativity", witness is None, witness)
-
-    witness = None
-    eps = coalg.epsilon.row(0) if n else ()
-    for j in range(dim):
-        acc = [zero] * dim
-        for ia, w in rho.col_terms(j):
-            i, a = divmod(ia, n)
-            acc[i] = field.add(acc[i], field.mul(w, eps[a]))
-        for i in range(dim):
-            expected = field.one if i == j else zero
-            if acc[i] != expected:
-                witness = f"column {j}, coordinate {i}"
-                break
-        if witness:
-            break
-    report.add("coaction counit law", witness is None, witness)
+    rho = SparseMap.from_matrix(rho)
+    one = SparseMap.identity(coalg.field, dim)
+    report.add_equal(
+        "coaction coassociativity",
+        rho.kron(SparseMap.identity(coalg.field, n)) @ rho,
+        one.kron(SparseMap.from_matrix(coalg.delta)) @ rho,
+        lambda j, key: f"column {j}, coordinate {_triple(key, n)}",
+    )
+    report.add_equal(
+        "coaction counit law",
+        one.kron(SparseMap.from_matrix(coalg.epsilon)) @ rho,
+        one,
+        lambda j, i: f"column {j}, coordinate {i}",
+    )
     return report
 
 
 def induced_coaction(c: CoendStructure, name: str) -> Coaction:
     """The canonical coaction sending x_j to the sum of x_i (x) i_X(C_ij)."""
-    field = c.diagram.field
-    d = c.diagram.dim(name)
-    n = c.dim
-    imap = c.structure_maps[name]
-    entries = [field.zero] * (d * n * d)
-    for j in range(d):
-        for i in range(d):
-            col = imap.col(i * d + j)
-            for a, val in enumerate(col):
-                entries[(i * n + a) * d + j] = val
-    rho = Matrix(field, d * n, d, entries)
-    coalg = coalgebra_structure(c)
-    report = verify_coaction(coalg, rho, d)
+    d, n = c.diagram.dim(name), c.dim
+    imap = c.structure_maps[name].entries
+    rho = Matrix(c.diagram.field, d * n, d, [
+        imap[a * d * d + i * d + j] for i in range(d) for a in range(n) for j in range(d)
+    ])
+    report = verify_coaction(coalgebra_structure(c), rho, d)
     if not report.passed:
         raise InternalConsistencyError(
             f"induced coaction of {name!r} violates an axiom: {report.failures()[0]}"
@@ -421,24 +315,17 @@ def coaction_naturality(c: CoendStructure, coactions: dict) -> CheckReport:
     For A: X -> Y the square (A (x) id) . rho_X == rho_Y . A has to
     commute exactly.
     """
-    report = CheckReport()
     d = c.diagram
-    n = c.dim
-    ident = Matrix.identity(d.field, n)
-    witness = None
-    for x in d.names():
-        for y in d.names():
-            for idx, a in enumerate(hom_basis(d, x, y).basis):
-                lhs = kron(a, ident) * coactions[x].matrix
-                rhs = coactions[y].matrix * a
-                if lhs != rhs:
-                    witness = f"span basis {idx} of ({x} -> {y})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("span matrices are comodule morphisms", witness is None, witness)
+    one = SparseMap.identity(d.field, c.dim)
+    rho = {name: SparseMap.from_matrix(co.matrix) for name, co in coactions.items()}
+    report = CheckReport()
+    report.add_first("span matrices are comodule morphisms", (
+        f"span basis {idx} of ({x} -> {y})"
+        for x in d.names()
+        for y in d.names()
+        for idx, a in enumerate(map(SparseMap.from_matrix, hom_basis(d, x, y).basis))
+        if (a.kron(one) @ rho[x]).first_difference(rho[y] @ a) is not None
+    ))
     return report
 
 
@@ -496,19 +383,13 @@ def induced_quotient_map(src: CoendStructure, dst: CoendStructure) -> Matrix:
     Both diagrams must have the same objects (possibly reordered) and the
     same spans; the block permutation of V then descends to the quotients.
     """
-    field = src.diagram.field
     if sorted(src.diagram.objects) != sorted(dst.diagram.objects):
         raise ValueError("coends do not share an object set")
-    perm_cols = []
-    for a in range(src.dim):
-        # route each section representative through the block permutation
-        rep = src.split.section.col(a)
-        out = [field.zero] * dst.layout.total
-        for coord, val in enumerate(rep):
-            if val:
-                name, flat = src.layout.locate(coord)
-                out[dst.layout.coordinate(name, flat)] = val
-        perm_cols.append(dst.split.projection.apply(out))
-    if not perm_cols:
-        return Matrix(field, dst.dim, 0, [])
-    return Matrix.from_cols(field, perm_cols)
+    # route each free generator through the block permutation
+    cols = [
+        dst.split.projection.col(dst.layout.coordinate(*src.layout.locate(fc)))
+        for fc in src.split.free
+    ]
+    if not cols:
+        return Matrix(src.diagram.field, dst.dim, 0, [])
+    return Matrix.from_cols(src.diagram.field, cols)

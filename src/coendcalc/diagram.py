@@ -160,26 +160,13 @@ def validate_diagram(d: DiagramPresentation) -> CheckReport:
                 target = VectorSpan(d.field, d.dim(z) * d.dim(x))
                 for m in bases[(x, z)].basis:
                     target.add(vec_matrix(m))
-                bad = None
-                for a in first.basis:
-                    for b in second.basis:
-                        if not target.contains(vec_matrix(b * a)):
-                            bad = (a, b)
-                            break
-                    if bad:
-                        break
-                if bad is None:
-                    report.ok(f"closure ({x} -> {y} -> {z})")
-                else:
-                    report.fail(
-                        f"closure ({x} -> {y} -> {z})",
-                        witness=f"composite of span matrices escapes span ({x} -> {z})",
-                    )
+                report.add_first(f"closure ({x} -> {y} -> {z})", (
+                    f"composite of span matrices escapes span ({x} -> {z})"
+                    for a in first.basis
+                    for b in second.basis
+                    if not target.contains(vec_matrix(b * a))
+                ))
     return report
-
-
-def is_closed(d: DiagramPresentation) -> bool:
-    return validate_diagram(d).passed
 
 
 def saturate_spans(d: DiagramPresentation) -> DiagramPresentation:

@@ -88,9 +88,6 @@ class Field:
     def inv(self, a: Scalar) -> Scalar:
         raise NotImplementedError
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == self.zero
-
     # Row kernels on canonical scalars; zero is tested by truthiness.
     def dot(self, xs, ys) -> Scalar:
         """The sum of ``xs[i] * ys[i]``."""
@@ -271,18 +268,9 @@ QQ = RationalField()
 GF = PrimeField
 
 
-def arithmetic(field: Field, a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch one of add/sub/mul/div on two scalars of the same field."""
-    try:
-        fn = {"add": field.add, "sub": field.sub, "mul": field.mul, "div": field.div}[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(a, b)
-
-
 def same_field(a: Field, b: Field) -> Field:
     """Return the common field of two containers or raise FieldMismatchError."""
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatchError(f"mixed fields: {a!r} and {b!r}")
     return a
 

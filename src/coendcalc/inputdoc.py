@@ -105,10 +105,15 @@ def _parse_diagram_document(field: Field, data: dict) -> InputDocument:
         raise InputFormatError("duplicate object names")
 
     spans = {}
-    for idx, hom in enumerate(data.get("homs", [])):
+    homs = data.get("homs", [])
+    if not isinstance(homs, list):
+        raise InputFormatError("'homs' must be a list")
+    for idx, hom in enumerate(homs):
         if not isinstance(hom, dict) or "src" not in hom or "dst" not in hom:
             raise InputFormatError(f"homs[{idx}] needs 'src' and 'dst'")
         src, dst = hom["src"], hom["dst"]
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise InputFormatError(f"homs[{idx}]: 'src' and 'dst' must be object names")
         where = f"hom ({src} -> {dst})"
         if src not in dims or dst not in dims:
             raise InputFormatError(f"{where}: unknown object")
@@ -134,12 +139,16 @@ def _parse_diagram_document(field: Field, data: dict) -> InputDocument:
         for key in ("table", "f2"):
             if not isinstance(tdata.get(key, {}), dict):
                 raise InputFormatError(f"'tensor.{key}' must be an object")
+        if not isinstance(tdata["unit"], str):
+            raise InputFormatError("'tensor.unit' must be an object name")
         table = {}
         for key, value in tdata["table"].items():
             parts = key.split(",")
             if len(parts) != 2:
                 raise InputFormatError(f"tensor table key {key!r} is not 'X,Y'")
             x, y = parts[0].strip(), parts[1].strip()
+            if not isinstance(value, str):
+                raise InputFormatError(f"tensor table entry {key!r} must be an object name")
             if x not in dims or y not in dims or value not in dims:
                 raise InputFormatError(f"tensor table entry {key!r}: unknown object")
             table[(x, y)] = value

@@ -1,4 +1,5 @@
-"""Dense exact matrices: rref, kernels, Kronecker products, quotient splits.
+"""Exact matrices: rref, kernels, Kronecker products, quotient splits, and
+sparse maps for stating axioms as identities.
 
 Matrices are immutable, store a row-major tuple of scalars and carry their
 field descriptor.  Pivoting is deterministic (first nonzero in column
@@ -19,6 +20,17 @@ kernels (``dot``, ``axpy``, ``scale_row``).  ``Matrix(...)`` coerces and
 shape-checks its entries; ``Matrix._trusted`` does neither and may only
 be given entries computed from canonical ones, since a non-canonical
 entry would change how a report renders.
+
+``SparseMap`` contract: a map is given column by column, and column j is a
+``{row: value}`` dict of canonical entries that stores no zero, so two
+maps agree exactly when their column dicts are equal.  Maps built from a
+matrix or from vectors keep their columns; identities, swaps, products
+and Kronecker products compute a column each time it is asked for and
+store none.  Callers only read the dicts a map returns.  Products and
+Kronecker products skip the multiplication by a weight that is the
+field's ``one`` object itself, as in identities and swaps; an equal but
+distinct one is multiplied, with the same result.  ``Matrix``
+remains the one storage of structure constants and of every report.
 """
 
 from __future__ import annotations
@@ -176,9 +188,6 @@ class Matrix:
             [self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)],
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def __repr__(self):
         body = "; ".join(
             " ".join(self.field.render(x) for x in self.row(i)) for i in range(self.rows)
@@ -235,29 +244,6 @@ def kernel_basis(m: Matrix) -> list:
             v[pc] = f.neg(reduced[r, fc])
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: Matrix, b: Sequence):
-    """One exact solution of ``m @ x = b`` (free variables set to zero).
-
-    Returns the solution tuple, or None if the system is inconsistent.
-    """
-    if len(b) != m.rows:
-        raise ShapeError("right-hand side length mismatch")
-    f = m.field
-    aug = Matrix(
-        f,
-        m.rows,
-        m.cols + 1,
-        [x for i in range(m.rows) for x in (*m.row(i), b[i])],
-    )
-    reduced, pivots, _ = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r, m.cols]
-    return tuple(x)
 
 
 def left_inverse(m: Matrix):
@@ -338,6 +324,105 @@ def unvec_matrix(field: Field, v: Sequence, rows: int, cols: int) -> Matrix:
     return Matrix(field, rows, cols, [v[i * rows + j] for j in range(rows) for i in range(cols)])
 
 
+# -- sparse maps -----------------------------------------------------------
+
+
+class SparseMap:
+    """A linear map k^cols -> k^rows given column by column.
+
+    ``column(j)`` returns column j as a ``{row: value}`` dict; see the
+    module docstring for the contract.
+    """
+
+    __slots__ = ("field", "rows", "cols", "column")
+
+    def __init__(self, field: Field, rows: int, cols: int, column):
+        self.field, self.rows, self.cols, self.column = field, rows, cols, column
+
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "SparseMap":
+        cols = [dict(m.col_terms(j)) for j in range(m.cols)]
+        return cls(m.field, m.rows, m.cols, cols.__getitem__)
+
+    @classmethod
+    def from_columns(cls, field: Field, rows: int, vectors) -> "SparseMap":
+        """The map whose column j is the dense vector ``vectors[j]``."""
+        cols = [{i: x for i, x in enumerate(v) if x} for v in vectors]
+        return cls(field, rows, len(cols), cols.__getitem__)
+
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "SparseMap":
+        one = field.one
+        return cls(field, n, n, lambda j: {j: one})
+
+    @classmethod
+    def zeros(cls, field: Field, rows: int, cols: int) -> "SparseMap":
+        return cls(field, rows, cols, lambda j: {})
+
+    @classmethod
+    def swap(cls, field: Field, a: int, b: int) -> "SparseMap":
+        """The flip k^a (x) k^b -> k^b (x) k^a sending u (x) v to v (x) u."""
+        one = field.one
+        return cls(field, a * b, a * b, lambda j: {j % b * a + j // b: one})
+
+    def __matmul__(self, other: "SparseMap") -> "SparseMap":
+        """The composite: first ``other``, then ``self``."""
+        f = same_field(self.field, other.field)
+        if self.cols != other.rows:
+            raise ShapeError(
+                f"cannot compose {self.rows}x{self.cols} after {other.rows}x{other.cols}"
+            )
+        outer, inner, one, add, mul = self.column, other.column, f.one, f.add, f.mul
+
+        def column(j):
+            terms = inner(j)
+            if len(terms) > 1:
+                acc = {}
+                for k, w in terms.items():
+                    for r, x in outer(k).items():
+                        acc[r] = add(acc[r], mul(w, x)) if r in acc else mul(w, x)
+                return {r: x for r, x in acc.items() if x}
+            # one term or none: a scaled column, and no sum that could cancel
+            for k, w in terms.items():
+                col = outer(k)
+                return col if w is one else {r: mul(w, x) for r, x in col.items()}
+            return terms
+
+        return SparseMap(f, self.rows, other.cols, column)
+
+    def kron(self, other: "SparseMap") -> "SparseMap":
+        """Kronecker product, in the block-row-major order of :func:`kron`."""
+        f = same_field(self.field, other.field)
+        left, right, rb, cb = self.column, other.column, other.rows, other.cols
+        one, mul = f.one, f.mul
+
+        def column(j):
+            a = left(j // cb)
+            if not a:
+                return a
+            b = right(j % cb)
+            return {
+                r * rb + s: y if x is one else x if y is one else mul(x, y)
+                for r, x in a.items()
+                for s, y in b.items()
+            }
+
+        return SparseMap(f, self.rows * rb, self.cols * cb, column)
+
+    def first_difference(self, other: "SparseMap"):
+        """The first (column, row) where the two maps differ, or None."""
+        same_field(self.field, other.field)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError(
+                f"cannot compare {self.rows}x{self.cols} with {other.rows}x{other.cols}"
+            )
+        for j in range(self.cols):
+            a, b = self.column(j), other.column(j)
+            if a != b:
+                return j, min(r for r in a.keys() | b.keys() if a.get(r) != b.get(r))
+        return None
+
+
 # -- quotient spaces -------------------------------------------------------
 
 
@@ -346,18 +431,26 @@ class QuotientSplit:
     """A projection/section pair splitting an ambient space by a subspace.
 
     The quotient basis is indexed by the non-pivot coordinates of the rref
-    of the subspace; the section maps quotient basis vector a to the
-    ambient coordinate vector of its non-pivot column.
+    of the subspace, ``free``; the section maps quotient basis vector a to
+    the ambient coordinate vector of its non-pivot column ``free[a]``.
     """
 
     ambient_dim: int
     subspace_basis: tuple
     projection: Matrix
-    section: Matrix
+    free: tuple
 
     @property
     def quotient_dim(self) -> int:
         return self.projection.rows
+
+    @property
+    def section(self) -> Matrix:
+        f, q = self.projection.field, len(self.free)
+        sect = [f.zero] * (self.ambient_dim * q)
+        for a, fc in enumerate(self.free):
+            sect[fc * q + a] = f.one
+        return Matrix._trusted(f, self.ambient_dim, q, sect)
 
 
 def quotient_split(field: Field, ambient_dim: int, subspace_basis: Iterable) -> QuotientSplit:
@@ -369,22 +462,17 @@ def quotient_split(field: Field, ambient_dim: int, subspace_basis: Iterable) -> 
     sub = Matrix._trusted(field, len(vecs), ambient_dim, [x for v in vecs for x in v])
     reduced, pivots, rk = rref(sub)
     pivot_set = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    q = len(free)
-    zero, one, neg = field.zero, field.one, field.neg
-    proj = [zero] * (q * ambient_dim)
+    free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
+    proj = [field.zero] * (len(free) * ambient_dim)
     for a, fc in enumerate(free):
-        proj[a * ambient_dim + fc] = one
+        proj[a * ambient_dim + fc] = field.one
         for r, pc in enumerate(pivots):
-            proj[a * ambient_dim + pc] = neg(reduced[r, fc])
-    sect = [zero] * (ambient_dim * q)
-    for a, fc in enumerate(free):
-        sect[fc * q + a] = one
+            proj[a * ambient_dim + pc] = field.neg(reduced[r, fc])
     return QuotientSplit(
         ambient_dim=ambient_dim,
         subspace_basis=tuple(vecs),
-        projection=Matrix._trusted(field, q, ambient_dim, proj),
-        section=Matrix._trusted(field, ambient_dim, q, sect),
+        projection=Matrix._trusted(field, len(free), ambient_dim, proj),
+        free=free,
     )
 
 

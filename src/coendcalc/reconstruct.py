@@ -124,17 +124,16 @@ def canonical_map(
         for i in range(d):
             for j in range(d):
                 cols.append(tuple(mod.rho[i * nc + a, j] for a in range(nc)))
-    if cols:
-        phi_v = Matrix.from_cols(field, cols)
-    else:
-        phi_v = Matrix(field, nc, 0, [])
-    for ridx, rel in enumerate(coend.relation_basis):
-        if any(phi_v.apply(rel)):
-            raise WellDefinednessError(
-                "canonical map does not vanish on the relation space",
-                witness=f"relation {ridx}",
-            )
-    return phi_v * coend.split.section
+    phi_v = Matrix.from_cols(field, cols) if cols else Matrix(field, nc, 0, [])
+    failure = next(
+        (ridx for ridx, rel in enumerate(coend.relation_basis) if any(phi_v.apply(rel))), None
+    )
+    if failure is not None:
+        raise WellDefinednessError(
+            "canonical map does not vanish on the relation space", witness=f"relation {failure}"
+        )
+    free = [cols[fc] for fc in coend.split.free]
+    return Matrix.from_cols(field, free) if free else Matrix(field, nc, 0, [])
 
 
 @dataclass
@@ -194,14 +193,12 @@ def roundtrip_verify(c: CoalgebraData, mods: list) -> RoundtripReport:
     coend_coalg = coalgebra_structure(coend)
     checks.extend(is_coalgebra_map(coend_coalg, c, phi), prefix="canonical map: ")
 
-    witness = None
-    for name, mod in zip(coend.layout.names, mods):
-        rho_induced = induced_coaction(coend, name).matrix
-        carried = kron(Matrix.identity(c.field, mod.dim), phi) * rho_induced
-        if carried != mod.rho:
-            witness = f"comodule at object {name!r}"
-            break
-    checks.add("induced coactions carried back", witness is None, witness)
+    checks.add_first("induced coactions carried back", (
+        f"comodule at object {name!r}"
+        for name, mod in zip(coend.layout.names, mods)
+        if kron(Matrix.identity(c.field, mod.dim), phi) * induced_coaction(coend, name).matrix
+        != mod.rho
+    ))
 
     map_ok = all(
         ch.passed

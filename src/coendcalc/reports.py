@@ -30,6 +30,24 @@ class CheckReport:
     def fail(self, name: str, witness: Optional[str] = None):
         self.add(name, False, witness)
 
+    def add_first(self, name: str, witnesses) -> bool:
+        """Add a check that fails with the first of ``witnesses``, if any.
+
+        ``witnesses`` is consumed lazily; returns whether the check passed.
+        """
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness)
+        return witness is None
+
+    def add_equal(self, name: str, lhs, rhs, describe):
+        """Check the identity ``lhs == rhs`` of two sparse maps.
+
+        ``describe(column, row)`` renders the first entry where they differ
+        as the witness.
+        """
+        diff = lhs.first_difference(rhs)
+        self.add(name, diff is None, None if diff is None else describe(*diff))
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

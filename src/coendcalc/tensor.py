@@ -11,6 +11,7 @@ pushes the result into the block of the product object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .coend import (
     CoalgebraData,
@@ -23,10 +24,10 @@ from .end import AlgebraData, verify_algebra
 from .errors import ShapeError
 from .linalg import (
     Matrix,
+    SparseMap,
     VectorSpan,
     inverse,
     kron,
-    kron_vec,
     rank,
     unvec_matrix,
     vec_matrix,
@@ -83,44 +84,29 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
     if not total:
         return report
 
-    witness = None
-    for x in names:
-        for y in names:
-            for z in names:
-                if t.table[(t.table[(x, y)], z)] != t.table[(x, t.table[(y, z)])]:
-                    witness = f"triple ({x}, {y}, {z})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("monoid associativity", witness is None, witness)
+    report.add_first("monoid associativity", (
+        f"triple ({x}, {y}, {z})"
+        for x, y, z in product(names, repeat=3)
+        if t.table[(t.table[(x, y)], z)] != t.table[(x, t.table[(y, z)])]
+    ))
 
     if t.unit not in d.dims:
         report.fail("unit object", witness=f"{t.unit!r} is not an object")
         return report
-    witness = None
-    for x in names:
-        if t.table[(t.unit, x)] != x or t.table[(x, t.unit)] != x:
-            witness = f"object {x}"
-            break
-    report.add("two-sided unit", witness is None, witness)
+    report.add_first("two-sided unit", (
+        f"object {x}" for x in names if t.table[(t.unit, x)] != x or t.table[(x, t.unit)] != x
+    ))
     report.add(
         "unit dimension 1",
         d.dim(t.unit) == 1,
         None if d.dim(t.unit) == 1 else f"dim {d.dim(t.unit)}",
     )
 
-    witness = None
-    for x in names:
-        for y in names:
-            if d.dim(t.table[(x, y)]) != d.dim(x) * d.dim(y):
-                witness = f"pair ({x}, {y})"
-                break
-        if witness:
-            break
-    report.add("dimensions multiplicative", witness is None, witness)
-    if witness is not None:
+    if not report.add_first("dimensions multiplicative", (
+        f"pair ({x}, {y})"
+        for x, y in product(names, repeat=2)
+        if d.dim(t.table[(x, y)]) != d.dim(x) * d.dim(y)
+    )):
         return report
 
     for (x, y), iso in t.pair_isos.items():
@@ -146,81 +132,60 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
     if missing_isos:
         return report
 
-    witness = None
-    for (x, y), iso in sorted(t.pair_isos.items()):
-        if rank(iso) != iso.rows:
-            witness = f"pair ({x}, {y})"
-            break
-    report.add("comparison maps invertible", witness is None, witness)
-    if witness is not None:
+    if not report.add_first("comparison maps invertible", (
+        f"pair ({x}, {y})" for (x, y), iso in sorted(t.pair_isos.items()) if rank(iso) != iso.rows
+    )):
         return report
 
-    witness = None
-    for x in names:
-        ident = Matrix.identity(d.field, d.dim(x))
-        if t.pair_isos[(t.unit, x)] != ident or t.pair_isos[(x, t.unit)] != ident:
-            witness = f"object {x}"
-            break
-    report.add("unit comparison maps are identities", witness is None, witness)
+    ones = {x: SparseMap.identity(d.field, d.dim(x)) for x in names}
+    isos = {pair: SparseMap.from_matrix(iso) for pair, iso in t.pair_isos.items()}
+    report.add_first("unit comparison maps are identities", (
+        f"object {x}"
+        for x in names
+        if isos[(t.unit, x)].first_difference(ones[x]) is not None
+        or isos[(x, t.unit)].first_difference(ones[x]) is not None
+    ))
 
-    witness = None
-    for x in names:
-        for y in names:
-            for z in names:
-                xy = t.table[(x, y)]
-                yz = t.table[(y, z)]
-                lhs = t.pair_isos[(xy, z)] * kron(
-                    t.pair_isos[(x, y)], Matrix.identity(d.field, d.dim(z))
-                )
-                rhs = t.pair_isos[(x, yz)] * kron(
-                    Matrix.identity(d.field, d.dim(x)), t.pair_isos[(y, z)]
-                )
-                if lhs != rhs:
-                    witness = f"triple ({x}, {y}, {z})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("coherence", witness is None, witness)
+    def coherent(x, y, z):
+        lhs = isos[(t.table[(x, y)], z)] @ isos[(x, y)].kron(ones[z])
+        rhs = isos[(x, t.table[(y, z)])] @ ones[x].kron(isos[(y, z)])
+        return lhs.first_difference(rhs) is None
+
+    report.add_first("coherence", (
+        f"triple ({x}, {y}, {z})" for x, y, z in product(names, repeat=3) if not coherent(x, y, z)
+    ))
 
     inverses = {pair: inverse(iso) for pair, iso in t.pair_isos.items()}
-    witness = None
-    for x in names:
-        for x2 in names:
-            a_basis = hom_basis(d, x, x2).basis
-            if not a_basis:
+    bases = {(x, y): hom_basis(d, x, y).basis for x, y in product(names, repeat=2)}
+
+    def escapes():
+        for x, x2, y, y2 in product(names, repeat=4):
+            if not (bases[(x, x2)] and bases[(y, y2)]):
                 continue
-            for y in names:
-                for y2 in names:
-                    b_basis = hom_basis(d, y, y2).basis
-                    if not b_basis:
-                        continue
-                    src, dst = t.table[(x, y)], t.table[(x2, y2)]
-                    span = VectorSpan(d.field, d.dim(dst) * d.dim(src))
-                    for m in hom_basis(d, src, dst).basis:
-                        span.add(vec_matrix(m))
-                    for a in a_basis:
-                        for b in b_basis:
-                            moved = t.pair_isos[(x2, y2)] * kron(a, b) * inverses[(x, y)]
-                            if not span.contains(vec_matrix(moved)):
-                                witness = (
-                                    f"span matrices ({x} -> {x2}) and ({y} -> {y2}) "
-                                    f"escape span ({src} -> {dst})"
-                                )
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("naturality closure", witness is None, witness)
+            src, dst = t.table[(x, y)], t.table[(x2, y2)]
+            span = VectorSpan(d.field, d.dim(dst) * d.dim(src))
+            for m in bases[(src, dst)]:
+                span.add(vec_matrix(m))
+            moved = (
+                t.pair_isos[(x2, y2)] * kron(a, b) * inverses[(x, y)]
+                for a in bases[(x, x2)]
+                for b in bases[(y, y2)]
+            )
+            if not all(span.contains(vec_matrix(m)) for m in moved):
+                yield (
+                    f"span matrices ({x} -> {x2}) and ({y} -> {y2}) "
+                    f"escape span ({src} -> {dst})"
+                )
+
+    report.add_first("naturality closure", escapes())
     return report
+
+
+def _elementary(field, dim: int, flat: int) -> Matrix:
+    """The dim x dim matrix with a single one at vec coordinate ``flat``."""
+    return unvec_matrix(
+        field, [field.one if k == flat else field.zero for k in range(dim * dim)], dim, dim
+    )
 
 
 def coend_multiplication(c: CoendStructure, t: TensorData):
@@ -228,84 +193,40 @@ def coend_multiplication(c: CoendStructure, t: TensorData):
 
     On generators: the product of i_X(S) and i_Y(T) is the image under
     the product object's structure map of the comparison-conjugated
-    Kronecker product of S and T.  The generator-level bilinear map must
-    annihilate J (x) V and V (x) J; each failure is reported with a
-    witness.
+    Kronecker product of S and T.  The generator-level bilinear map M must
+    annihilate J (x) V and V (x) J, that is M(J (x) 1) = 0 = M(1 (x) J);
+    each failure is reported with a witness.  The product is read off on
+    the free columns.
     """
-    d = c.diagram
-    field = d.field
-    layout = c.layout
-    n = c.dim
-    total = layout.total
-    zero = field.zero
-
+    d, field, n, total = c.diagram, c.diagram.field, c.dim, c.ambient_dim
     inverses = {pair: inverse(iso) for pair, iso in t.pair_isos.items()}
-    columns = [None] * (total * total)
-    gen_labels = []
-    for name in layout.names:
-        dx = d.dim(name)
-        for flat in range(dx * dx):
-            gen_labels.append((name, flat))
-    for v, (x, flat_v) in enumerate(gen_labels):
-        dx = d.dim(x)
-        s_mat = unvec_matrix(field, [field.one if k == flat_v else zero for k in range(dx * dx)], dx, dx)
-        for w, (y, flat_w) in enumerate(gen_labels):
-            dy = d.dim(y)
-            t_mat = unvec_matrix(
-                field, [field.one if k == flat_w else zero for k in range(dy * dy)], dy, dy
-            )
-            target = t.table[(x, y)]
+    gens = [(name, flat) for name in c.layout.names for flat in range(d.dim(name) ** 2)]
+    columns = []
+    for x, flat_v in gens:
+        s_mat = _elementary(field, d.dim(x), flat_v)
+        for y, flat_w in gens:
+            t_mat = _elementary(field, d.dim(y), flat_w)
             moved = t.pair_isos[(x, y)] * kron(s_mat, t_mat) * inverses[(x, y)]
-            columns[v * total + w] = c.structure_maps[target].apply(vec_matrix(moved))
+            columns.append(c.structure_maps[t.table[(x, y)]].apply(vec_matrix(moved)))
 
+    mult = SparseMap.from_columns(field, n, columns)
+    rel = SparseMap.from_columns(field, total, c.relation_basis)
+    one = SparseMap.identity(field, total)
+    zero = SparseMap.zeros(field, n, rel.cols * total)
     report = CheckReport()
-    witness = None
-    for ridx, rel in enumerate(c.relation_basis):
-        support = [(k, val) for k, val in enumerate(rel) if val]
-        for w in range(total):
-            acc = [zero] * n
-            for k, val in support:
-                col = columns[k * total + w]
-                for a in range(n):
-                    if col[a]:
-                        acc[a] = field.add(acc[a], field.mul(val, col[a]))
-            if any(acc):
-                witness = f"relation {ridx} against generator {gen_labels[w]}"
-                break
-        if witness:
-            break
-    report.add("annihilates J (x) V", witness is None, witness)
-
-    witness = None
-    for ridx, rel in enumerate(c.relation_basis):
-        support = [(k, val) for k, val in enumerate(rel) if val]
-        for v in range(total):
-            acc = [zero] * n
-            for k, val in support:
-                col = columns[v * total + k]
-                for a in range(n):
-                    if col[a]:
-                        acc[a] = field.add(acc[a], field.mul(val, col[a]))
-            if any(acc):
-                witness = f"relation {ridx} against generator {gen_labels[v]}"
-                break
-        if witness:
-            break
-    report.add("annihilates V (x) J", witness is None, witness)
-
-    free = []
-    for a in range(n):
-        fc = next(
-            k for k in range(total) if c.split.section[k, a]
+    for name, composite in (
+        ("annihilates J (x) V", mult @ rel.kron(one)),
+        # the flip orders the columns by relation first, as above
+        ("annihilates V (x) J", mult @ one.kron(rel) @ SparseMap.swap(field, rel.cols, total)),
+    ):
+        report.add_equal(
+            name, composite, zero,
+            lambda j, _: f"relation {j // total} against generator {gens[j % total]}",
         )
-        free.append(fc)
-    product_cols = [
-        columns[free[a] * total + free[b]] for a in range(n) for b in range(n)
-    ]
-    product = Matrix._trusted(
-        field, n * n, n, [x for col in product_cols for x in col]
-    ).transpose()
-    return product, report
+
+    free = c.split.free
+    entries = [x for a in free for b in free for x in columns[a * total + b]]
+    return Matrix._trusted(field, n * n, n, entries).transpose(), report
 
 
 def unit_element(c: CoendStructure, t: TensorData) -> tuple:
@@ -331,83 +252,33 @@ class BialgebraData:
 
 
 def verify_bialgebra(b: BialgebraData) -> CheckReport:
-    """All bialgebra axioms: algebra laws plus compatibility of the maps."""
+    """All bialgebra axioms: the algebra laws, then
+    delta m == (m (x) m)(1 (x) flip (x) 1)(delta (x) delta),
+    eps m == eps (x) eps, delta u == u (x) u and eps u == 1."""
+    field, n = b.coalgebra.field, b.dim
     report = CheckReport()
-    field = b.coalgebra.field
-    n = b.dim
-    zero = field.zero
     report.extend(verify_algebra(b.algebra))
 
-    delta_cols = [b.coalgebra.delta.col_terms(a) for a in range(n)]
-    prod_cols = [b.algebra.product.col_terms(i) for i in range(n * n)]
-    eps = b.coalgebra.epsilon.row(0) if n else ()
-
-    witness = None
-    for a in range(n):
-        for c in range(n):
-            lhs = {}
-            for e, w in prod_cols[a * n + c]:
-                for pq, w2 in delta_cols[e]:
-                    lhs[pq] = field.add(lhs.get(pq, zero), field.mul(w, w2))
-            rhs = {}
-            for rs, w in delta_cols[a]:
-                r, s = divmod(rs, n)
-                for uv, w2 in delta_cols[c]:
-                    u, v = divmod(uv, n)
-                    w12 = field.mul(w, w2)
-                    for e, w3 in prod_cols[r * n + u]:
-                        for f2, w4 in prod_cols[s * n + v]:
-                            key = e * n + f2
-                            rhs[key] = field.add(
-                                rhs.get(key, zero), field.mul(w12, field.mul(w3, w4))
-                            )
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, zero) != rhs.get(key, zero):
-                    witness = f"pair ({a}, {c}), tensor coordinate {divmod(key, n)}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("comultiplication multiplicative", witness is None, witness)
-
-    witness = None
-    for a in range(n):
-        for c in range(n):
-            lhs = zero
-            for e, w in prod_cols[a * n + c]:
-                lhs = field.add(lhs, field.mul(w, eps[e]))
-            if lhs != field.mul(eps[a], eps[c]):
-                witness = f"pair ({a}, {c})"
-                break
-        if witness:
-            break
-    report.add("counit multiplicative", witness is None, witness)
-
-    unit = b.algebra.unit
-    lhs = {}
-    for r, w in enumerate(unit):
-        if not w:
-            continue
-        for pq, w2 in delta_cols[r]:
-            lhs[pq] = field.add(lhs.get(pq, zero), field.mul(w, w2))
-    rhs = {}
-    for pq, val in enumerate(kron_vec(unit, unit, field)):
-        if val:
-            rhs[pq] = val
-    grouplike = all(
-        lhs.get(k, zero) == rhs.get(k, zero) for k in set(lhs) | set(rhs)
+    delta = SparseMap.from_matrix(b.coalgebra.delta)
+    eps = SparseMap.from_matrix(b.coalgebra.epsilon)
+    m = SparseMap.from_matrix(b.algebra.product)
+    u = SparseMap.from_columns(field, n, [b.algebra.unit])
+    one = SparseMap.identity(field, n)
+    middle = one.kron(SparseMap.swap(field, n, n)).kron(one)
+    report.add_equal(
+        "comultiplication multiplicative",
+        delta @ m,
+        m.kron(m) @ middle @ delta.kron(delta),
+        lambda j, key: f"pair {divmod(j, n)}, tensor coordinate {divmod(key, n)}",
     )
-    report.add(
-        "unit is grouplike",
-        grouplike,
-        None if grouplike else "coproduct of unit != unit (x) unit",
+    report.add_equal(
+        "counit multiplicative", eps @ m, eps.kron(eps), lambda j, _: f"pair {divmod(j, n)}"
     )
-
-    eps_unit = zero
-    for r, w in enumerate(unit):
-        if w:
-            eps_unit = field.add(eps_unit, field.mul(w, eps[r]))
+    report.add_equal(
+        "unit is grouplike", delta @ u, u.kron(u),
+        lambda j, k: "coproduct of unit != unit (x) unit",
+    )
+    eps_unit = field.dot(b.coalgebra.epsilon.row(0) if n else (), b.algebra.unit)
     report.add(
         "counit of unit is 1",
         eps_unit == field.one,
@@ -425,15 +296,9 @@ def conjugation_coalgebra_check(p: Matrix) -> CheckReport:
     """
     if p.rows != p.cols:
         raise ShapeError("conjugator must be square")
-    field = p.field
-    d = p.rows
-    p_inv = inverse(p)
+    field, d, p_inv = p.field, p.rows, inverse(p)
     model = comatrix_coalgebra(field, d)
-    cols = []
-    zero, one = field.zero, field.one
-    for flat in range(d * d):
-        gen = unvec_matrix(field, [one if k == flat else zero for k in range(d * d)], d, d)
-        cols.append(vec_matrix(p * gen * p_inv))
+    cols = [vec_matrix(p * _elementary(field, d, flat) * p_inv) for flat in range(d * d)]
     phi = Matrix.from_cols(field, cols) if cols else Matrix(field, 0, 0, [])
     report = is_coalgebra_map(model, model, phi)
     report.add("bijective", d == 0 or rank(phi) == d * d)
@@ -472,25 +337,12 @@ def conjugation_quotient_map(
     field = src.diagram.field
     inverses = {name: inverse(p) for name, p in conjugators.items()}
     cols = []
-    for a in range(src.dim):
-        rep = src.split.section.col(a)
+    for fc in src.split.free:
+        name, flat = src.layout.locate(fc)
+        gen = _elementary(field, src.diagram.dim(name), flat)
+        moved = vec_matrix(conjugators[name] * gen * inverses[name])
         out = [field.zero] * dst.layout.total
-        for coord, val in enumerate(rep):
-            if not val:
-                continue
-            name, flat = src.layout.locate(coord)
-            dim = src.diagram.dim(name)
-            gen = unvec_matrix(
-                field,
-                [val if k == flat else field.zero for k in range(dim * dim)],
-                dim,
-                dim,
-            )
-            moved = vec_matrix(conjugators[name] * gen * inverses[name])
-            off = dst.layout.offsets[name]
-            for k, entry in enumerate(moved):
-                if entry:
-                    out[off + k] = field.add(out[off + k], entry)
+        out[dst.layout.offsets[name] : dst.layout.offsets[name] + len(moved)] = moved
         cols.append(dst.split.projection.apply(out))
     if not cols:
         return Matrix(field, dst.dim, 0, [])

@@ -194,6 +194,22 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
     assert main(["coend", rt]) == 2
     comatrix = write(tmp_path, "c.json", COMATRIX_DOC)
     assert main(["bialgebra", comatrix]) == 2
+    # containers of the wrong type, which used to end in a TypeError
+    for base, section, key, value in (
+        (Z2_DOC, "tensor", "table", {"g0,g0": ["g0"]}),
+        (Z2_DOC, "tensor", "unit", ["g0"]),
+        (COMATRIX_DOC, None, "homs", 3),
+        (COMATRIX_DOC, None, "homs", [{"src": ["X"], "dst": "X"}]),
+    ):
+        data = json.loads(base)
+        (data[section] if section else data)[key] = value
+        text = json.dumps(data)
+        with pytest.raises(InputFormatError):
+            parse_document(text)
+        capsys.readouterr()
+        assert main(["validate", write(tmp_path, "typed.json", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_validate_command(tmp_path, capsys):

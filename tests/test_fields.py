@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from coendcalc import GF, QQ, FieldMismatchError, InputFormatError, Matrix
-from coendcalc.fields import PrimeField, arithmetic
+from coendcalc.fields import PrimeField
 
 
 def test_fraction_addition():
-    assert arithmetic(QQ, QQ.parse("1/2"), QQ.parse("1/3"), "add") == Fraction(5, 6)
+    assert QQ.add(QQ.parse("1/2"), QQ.parse("1/3")) == Fraction(5, 6)
 
 
 def test_prime_inverse():
@@ -22,11 +22,6 @@ def test_division_by_zero():
         QQ.div(QQ.one, QQ.zero)
     with pytest.raises(ZeroDivisionError):
         GF(7).div(3, 0)
-
-
-def test_unknown_op():
-    with pytest.raises(ValueError):
-        arithmetic(QQ, QQ.one, QQ.one, "pow")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(2), GF(97)])

@@ -8,6 +8,7 @@ from coendcalc import (
     QQ,
     AlgebraData,
     BialgebraData,
+    DiagramPresentation,
     Matrix,
     ShapeError,
     TensorData,
@@ -149,6 +150,28 @@ def test_multiplication_ill_defined_with_witness():
     assert not report.passed
     bad = report.failures()
     assert bad and bad[0].witness
+
+
+@pytest.mark.parametrize("left_zero", [True, False])
+def test_multiplication_checks_each_side(left_zero):
+    """The relations e ~ a ~ c in the monoid {e, a, b, c} where a, b and c
+    are left zeros (x y = x) or right zeros (x y = y): only one side of the
+    multiplication kills J, and the report says which, at the first
+    relation and the first generator."""
+    one = Matrix.from_rows(QQ, [[1]])
+    spans = {(x, x): [one] for x in "eabc"}
+    spans[("e", "a")] = spans[("e", "c")] = [one]
+    d = DiagramPresentation(QQ, [(x, 1) for x in "eabc"], spans)
+    table = {(x, y): (x if left_zero else y) for x in "abc" for y in "abc"}
+    table.update({(x, "e"): x for x in "eabc"})
+    table.update({("e", x): x for x in "eabc"})
+    c = compute_coend(d)
+    assert (c.dim, c.relation_dim) == (2, 2)
+    _, report = coend_multiplication(c, TensorData.build(d, "e", table))
+    failing = "annihilates J (x) V" if left_zero else "annihilates V (x) J"
+    assert [(f.name, f.witness) for f in report.failures()] == [
+        (failing, "relation 0 against generator ('b', 0)")
+    ]
 
 
 def test_unit_element_requires_unit_object():
