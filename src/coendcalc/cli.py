@@ -4,7 +4,7 @@ Subcommands: validate, coend, end, bialgebra, roundtrip.  Each reads one
 JSON input document, runs the computation with every verification, prints
 a human-readable report and optionally writes a machine-readable JSON
 report.  Exit codes: 0 all checks pass, 1 some check failed, 2 input
-error.
+error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -13,15 +13,9 @@ import argparse
 import json
 import sys
 
-from .coend import (
-    coaction_naturality,
-    coalgebra_structure,
-    compute_coend,
-    induced_coaction,
-    verify_coalgebra,
-)
+from .coend import coaction_naturality, compute_coend, induced_coaction, verify_coalgebra
 from .diagram import saturate_spans, validate_diagram
-from .end import AlgebraData, compute_end, duality_isomorphism, end_algebra, verify_algebra
+from .end import AlgebraData, compute_end, duality_isomorphism, verify_algebra
 from .errors import CoendcalcError, InternalConsistencyError, WellDefinednessError
 from .fields import Field, PrimeField, QQ
 from .inputdoc import InputDocument, parse_document
@@ -32,6 +26,7 @@ from .reconstruct import roundtrip_verify
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _parse_field_flag(spec: str) -> Field:
@@ -83,7 +78,7 @@ def _coend_section(diagram, checks: CheckReport):
     coend = compute_coend(diagram, require_closed=False)
     labels = coend.basis_labels()
     try:
-        coalg = coalgebra_structure(coend)
+        coalg = coend.coalgebra
         checks.ok("coalgebra well-defined on the quotient")
     except WellDefinednessError as err:
         checks.fail("coalgebra well-defined on the quotient", witness=str(err))
@@ -136,7 +131,7 @@ def cmd_end(doc: InputDocument, saturate: bool):
     diagram, checks = _diagram_preamble(doc, saturate)
     field = diagram.field
     end = compute_end(diagram, require_closed=False)
-    algebra = end_algebra(end)
+    algebra = end.algebra
     checks.extend(verify_algebra(algebra), prefix="end algebra: ")
     coend = compute_coend(diagram, require_closed=False)
     checks.add(
@@ -324,6 +319,9 @@ def main(argv=None) -> int:
     except CoendcalcError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as err:  # a fault of the program, not of the input
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
     checks = CheckReport()
     for c in report["checks"]:

@@ -11,6 +11,7 @@ object is the corresponding block of the projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagram import DiagramPresentation, hom_basis, validate_diagram
 from .errors import ClosureError, InternalConsistencyError, WellDefinednessError
@@ -118,6 +119,11 @@ class CoendStructure:
     def image_of(self, name: str, flat: int) -> tuple:
         """Coend coordinates of the generator with flat index in block name."""
         return self.structure_maps[name].col(flat)
+
+    @cached_property
+    def coalgebra(self) -> CoalgebraData:
+        """``coalgebra_structure(self)``, once; a failure raises on every access."""
+        return coalgebra_structure(self)
 
 
 def compute_coend(d: DiagramPresentation, require_closed: bool = True) -> CoendStructure:
@@ -301,7 +307,7 @@ def induced_coaction(c: CoendStructure, name: str) -> Coaction:
     rho = Matrix(c.diagram.field, d * n, d, [
         imap[a * d * d + i * d + j] for i in range(d) for a in range(n) for j in range(d)
     ])
-    report = verify_coaction(coalgebra_structure(c), rho, d)
+    report = verify_coaction(c.coalgebra, rho, d)
     if not report.passed:
         raise InternalConsistencyError(
             f"induced coaction of {name!r} violates an axiom: {report.failures()[0]}"

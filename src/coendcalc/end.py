@@ -9,8 +9,9 @@ tuples and coend generators a literal index lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .coend import BlockLayout, CoalgebraData, CoendStructure, coalgebra_structure
+from .coend import BlockLayout, CoalgebraData, CoendStructure
 from .diagram import DiagramPresentation, hom_basis, validate_diagram
 from .errors import ClosureError, InternalConsistencyError, WellDefinednessError
 from .linalg import (
@@ -47,6 +48,11 @@ class EndStructure:
             off = self.layout.offsets[name]
             out[name] = unvec_matrix(self.diagram.field, vec[off : off + d * d], d, d)
         return out
+
+    @cached_property
+    def algebra(self) -> AlgebraData:
+        """``end_algebra(self)``, once; a failure raises on every access."""
+        return end_algebra(self)
 
     def identity_vector(self) -> tuple:
         field = self.diagram.field
@@ -222,8 +228,7 @@ def duality_isomorphism(e: EndStructure, c: CoendStructure):
     bijective = e.dim == n and rank(mapping) == n
     report.add("bijective", bijective, None if bijective else f"rank {rank(mapping)} of {n}")
 
-    coalg = coalgebra_structure(c)
-    alg_end = end_algebra(e)
+    coalg, alg_end = c.coalgebra, e.algebra
     phi = SparseMap.from_matrix(mapping)
     report.add_equal(
         "multiplicative",

@@ -21,6 +21,16 @@ shape-checks its entries; ``Matrix._trusted`` does neither and may only
 be given entries computed from canonical ones, since a non-canonical
 entry would change how a report renders.
 
+``kernel_basis`` restricts the standard basis e_0, e_1, ... of k^cols
+row by row: a redundant row pairs to zero with every vector kept so far
+and costs only those pairings; otherwise the first vector with a nonzero
+pairing clears it from the later ones and is dropped.  Vector j thus
+only gains multiples of dropped vectors of lower index: it ends with a
+one at j, its last nonzero, and zeros at the other survivors' indices.
+Column c is a non-pivot column of ``rref(m)`` exactly when some kernel
+vector has its last nonzero at c, so the survivors are the basis
+``rref(m)`` gives: a one at each non-pivot column, zeros at the others.
+
 ``SparseMap`` contract: a map is given column by column, and column j is a
 ``{row: value}`` dict of canonical entries that stores no zero, so two
 maps agree exactly when their column dicts are equal.  Maps built from a
@@ -231,19 +241,29 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> list:
-    """Exact basis of the right null space; size = cols - rank."""
-    f = m.field
-    reduced, pivots, rk = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced[r, fc])
-        basis.append(tuple(v))
-    return basis
+    """Exact basis of the right null space, one vector per non-pivot
+    column of ``rref(m)`` (see the module docstring)."""
+    f, n = m.field, m.cols
+    kernel = [[f.one if i == j else f.zero for i in range(n)] for j in range(n)]
+    for i in range(m.rows):
+        if not kernel:
+            break
+        row = m.row(i)
+        support = [c for c, x in enumerate(row) if x]
+        if not support:
+            continue
+        xs = [row[c] for c in support]
+        pairings = [f.dot(xs, [v[c] for c in support]) for v in kernel]
+        first = next((k for k, p in enumerate(pairings) if p), None)
+        if first is None:
+            continue
+        pivot, scale = kernel[first], f.inv(pairings[first])
+        kernel = [
+            f.axpy(f.mul(p, scale), v, pivot) if p else v
+            for k, (v, p) in enumerate(zip(kernel, pairings))
+            if k != first
+        ]
+    return [tuple(v) for v in kernel]
 
 
 def left_inverse(m: Matrix):

@@ -157,11 +157,10 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
 
     inverses = {pair: inverse(iso) for pair, iso in t.pair_isos.items()}
     bases = {(x, y): hom_basis(d, x, y).basis for x, y in product(names, repeat=2)}
+    pairs = [pair for pair, basis in bases.items() if basis]
 
     def escapes():
-        for x, x2, y, y2 in product(names, repeat=4):
-            if not (bases[(x, x2)] and bases[(y, y2)]):
-                continue
+        for (x, x2), (y, y2) in product(pairs, repeat=2):
             src, dst = t.table[(x, y)], t.table[(x2, y2)]
             span = VectorSpan(d.field, d.dim(dst) * d.dim(src))
             for m in bases[(src, dst)]:

@@ -212,6 +212,20 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    from coendcalc import cli
+
+    def broken(doc, saturate):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "coend", (broken, "diagram"))
+    assert main(["coend", write(tmp_path, "c.json", COMATRIX_DOC)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError('boom')\n"
+    assert "Traceback" not in captured.err
+
+
 def test_validate_command(tmp_path, capsys):
     z2 = write(tmp_path, "z2.json", Z2_DOC)
     assert main(["validate", z2]) == 0

@@ -206,6 +206,23 @@ def test_coalgebra_well_definedness_guard():
     assert err.value.witness is not None
 
 
+def test_cached_coalgebra_raises_on_every_access():
+    from coendcalc.coend import CoendStructure
+    from coendcalc.errors import WellDefinednessError
+
+    c = compute_coend(full_matrix_diagram(QQ, 2))
+    bogus = CoendStructure(
+        diagram=c.diagram,
+        layout=c.layout,
+        relation_basis=c.relation_basis,
+        split=c.split,
+        structure_maps={"X": Matrix(QQ, 1, 4, [1, 1, 1, 1])},
+    )
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(WellDefinednessError):
+            bogus.coalgebra
+
+
 # -- defining relation and surjectivity --------------------------------------
 
 

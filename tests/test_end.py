@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from coendcalc import (
     QQ,
     AlgebraData,
     Matrix,
+    coalgebra_structure,
     comatrix_coalgebra,
     compute_coend,
     compute_end,
@@ -23,6 +25,8 @@ from fixtures import (
     connected_pair,
     full_matrix_diagram,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_end_dim_identity_span():
@@ -169,3 +173,35 @@ def test_duality_rejects_mismatched_inputs():
 def test_dim_end_equals_dim_coend_everywhere():
     for name, d in all_diagram_fixtures(QQ, max_comatrix_dim=3):
         assert compute_end(d).dim == compute_coend(d).dim, name
+
+
+def test_structures_compute_their_coalgebra_and_algebra_once():
+    for d in (comatrix_diagram(QQ, 2), connected_pair(QQ), full_matrix_diagram(QQ, 2)):
+        coend, end = compute_coend(d), compute_end(d)
+        coalg, alg = coend.coalgebra, end.algebra
+        assert coend.coalgebra is coalg and end.algebra is alg
+        assert coalg == coalgebra_structure(coend)
+        assert alg == end_algebra(end)
+
+
+def test_end_command_builds_each_structure_once(monkeypatch):
+    from coendcalc import coend as coend_module
+    from coendcalc import end as end_module
+    from coendcalc.cli import run_command
+    from coendcalc.inputdoc import parse_document
+
+    calls = {"end_algebra": 0, "coalgebra_structure": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(end_module, "end_algebra", counted("end_algebra", end_module.end_algebra))
+    monkeypatch.setattr(coend_module, "coalgebra_structure",
+                        counted("coalgebra_structure", coend_module.coalgebra_structure))
+    text = (ROOT / "sample_inputs" / "comatrix2.json").read_text()
+    report, code = run_command("end", parse_document(text))
+    assert code == 0 and report["passed"]
+    assert calls == {"end_algebra": 1, "coalgebra_structure": 1}

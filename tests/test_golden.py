@@ -1,12 +1,13 @@
 """Golden reports: the ``--report`` JSON of fixed inputs, byte for byte.
 
 ``tests/golden/<input>.<command>[.saturate].json`` is the report that
-``coendcalc <command> <input> [--saturate] --report PATH`` wrote before the
-elimination and caching changes that must not alter any report.  The
+``coendcalc <command> <input> [--saturate] --report PATH`` writes.  The
 inputs are every file in ``sample_inputs/`` under each command that accepts
 it, plus one generated instance per benchmark workload in
-``tests/golden/inputs/``.  A difference is a change of behaviour: mend the
-code, never the file.
+``tests/golden/inputs/`` (``bench/workloads.py``, seed ``golden``, index 0:
+``end`` d=3, ``roundtrip`` regular d=3, ``bialgebra`` Z/6).  Reports are
+meant to stay byte-identical across refactors and speed-ups, so a
+difference is a change of behaviour: mend the code, never the file.
 """
 
 import pathlib

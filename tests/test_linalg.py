@@ -272,6 +272,43 @@ def test_eliminations_match_plain_loops(field):
         assert_canonical(field, [x for v in basis for x in v])
 
 
+def low_rank_matrix(field, rows, cols, r, rng):
+    """L . R with L rows x r and R r x cols, then about one row in five
+    zeroed and one in five replaced by a copy of an earlier row."""
+    left = Matrix(field, rows, r, [random_scalar(field, rng) for _ in range(rows * r)])
+    right = Matrix(field, r, cols, [random_scalar(field, rng) for _ in range(r * cols)])
+    entries = oracle_matmul(field, left, right)
+    out = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.2:
+            out[i] = [field.zero] * cols
+        elif roll < 0.4 and i:
+            out[i] = list(out[rng.randrange(i)])
+    return Matrix(field, rows, cols, [x for row in out for x in row])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_kernel_of_tall_low_rank_systems(field):
+    rng = random.Random(37)
+    shapes = [(0, 5, 0), (0, 1, 0), (6, 0, 0), (0, 0, 0), (8, 8, 8), (40, 6, 6), (3, 3, 3)]
+    for _ in range(60):
+        cols = rng.randint(1, 8)
+        shapes.append((rng.randint(0, 40), cols, rng.randint(0, cols - 1)))
+    for rows, cols, r in shapes:
+        m = low_rank_matrix(field, rows, cols, r, rng)
+        basis = kernel_basis(m)
+        assert basis == oracle_kernel(field, m), (rows, cols, r)
+        assert len(basis) == cols - oracle_rank(field, m.row_list())
+        assert_canonical(field, [x for v in basis for x in v])
+        assert all(not any(oracle_apply(field, m, v)) for v in basis)
+    # the full-rank shapes above leave nothing, the empty ones everything
+    assert kernel_basis(Matrix(field, 0, 3, [])) == [
+        tuple(field.one if i == j else field.zero for i in range(3)) for j in range(3)
+    ]
+    assert kernel_basis(Matrix.identity(field, 4)) == []
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_vector_span_matches_plain_loops(field):
     rng = random.Random(31)

@@ -210,3 +210,29 @@ def test_roundtrip_carries_coactions_back():
         rho_ind = induced_coaction(coend, name).matrix
         carried = kron(Matrix.identity(QQ, mod.dim), phi) * rho_ind
         assert carried == mod.rho
+
+
+@pytest.mark.parametrize("setup, checks", [
+    (regular_comodule_setup, 3),  # the input, its one hom span, its induced coaction
+    (comatrix_with_two_comodules, 10),  # 2 inputs, 1 + 2 + 2 + 1 hom spans, 2 coactions
+])
+def test_roundtrip_checks_each_coaction_and_builds_one_coalgebra(setup, checks, monkeypatch):
+    from coendcalc import coend as coend_module
+    from coendcalc import reconstruct as reconstruct_module
+
+    calls = {"verify_coaction": 0, "coalgebra_structure": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    verify = counted("verify_coaction", coend_module.verify_coaction)
+    monkeypatch.setattr(coend_module, "verify_coaction", verify)
+    monkeypatch.setattr(reconstruct_module, "verify_coaction", verify)
+    monkeypatch.setattr(coend_module, "coalgebra_structure",
+                        counted("coalgebra_structure", coend_module.coalgebra_structure))
+    coalg, mods = setup(GF(7))
+    assert roundtrip_verify(coalg, mods).status == "PASS"
+    assert calls == {"verify_coaction": checks, "coalgebra_structure": 1}
