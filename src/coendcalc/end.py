@@ -18,7 +18,6 @@ from .linalg import (
     Matrix,
     SparseMap,
     kernel_basis,
-    kron,
     left_inverse,
     rank,
     unvec_matrix,
@@ -74,24 +73,22 @@ def compute_end(d: DiagramPresentation, require_closed: bool = True) -> EndStruc
             raise ClosureError(f"diagram is not saturated/valid: {bad.name}")
     field = d.field
     layout = BlockLayout(d)
+    one, minus = field.one, field.neg(field.one)
     rows = []
     for x in d.names():
         dx, off_x = d.dim(x), layout.offsets[x]
         for y in d.names():
             dy, off_y = d.dim(y), layout.offsets[y]
             for a in hom_basis(d, x, y).basis:
-                # vec(T_Y A) = kron(A^t, I) vec(T_Y); vec(A T_X) = kron(I, A) vec(T_X)
-                on_y = kron(a.transpose(), Matrix.identity(field, dy))
-                on_x = kron(Matrix.identity(field, dx), a)
-                for r in range(dx * dy):
-                    row = [field.zero] * layout.total
-                    row[off_y : off_y + dy * dy] = on_y.row(r)
-                    row[off_x : off_x + dx * dx] = field.axpy(
-                        field.one, row[off_x : off_x + dx * dx], on_x.row(r)
-                    )
-                    rows.append(row)
-    system = Matrix(field, len(rows), layout.total, [x for row in rows for x in row])
-    return EndStructure(diagram=d, layout=layout, basis=tuple(kernel_basis(system)))
+                # entry (k, i) of T_Y A - A T_X: column i of A against row k
+                # of T_Y, minus row k of A against column i of T_X
+                for i in range(dx):
+                    for k in range(dy):
+                        on_y = {off_y + j * dy + k: v for j, v in a.col_terms(i)}
+                        on_x = {off_x + i * dx + l: v for l, v in a.row_terms(k).items()}
+                        rows.append(field.lincomb(((one, on_y), (minus, on_x))))
+    basis = kernel_basis(field, layout.total, rows)
+    return EndStructure(diagram=d, layout=layout, basis=tuple(basis))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ Scalars are plain Python values: ``fractions.Fraction`` for the rationals
 types (matrices, diagrams), not with each scalar, so element arithmetic
 goes through the field object and mixing fields is caught at container
 boundaries.
+
+Row kernels work in native operators: ``dot``, ``axpy`` and ``scale_row``
+on dense rows, and ``lincomb``, the sum of scaled sparse columns that
+``SparseMap`` products and sparse system rows are built with.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ class Field:
         """The row ``c * xs``."""
         raise NotImplementedError
 
+    def lincomb(self, terms) -> dict:
+        """The sum of ``w * col`` over pairs of a scalar ``w`` and a
+        ``{index: value}`` column, as a column that stores no zero."""
+        raise NotImplementedError
+
     def parse(self, text: str) -> Scalar:
         """Read a scalar from text, normalizing to canonical form."""
         if isinstance(text, int):
@@ -174,6 +183,13 @@ class RationalField(Field):
 
     def scale_row(self, c, xs):
         return [c * x if x else _ZERO for x in xs]
+
+    def lincomb(self, terms):
+        acc = {}
+        for w, col in terms:
+            for r, x in col.items():
+                acc[r] = acc[r] + w * x if r in acc else w * x
+        return {r: x for r, x in acc.items() if x}
 
     def descriptor(self) -> dict:
         return {"kind": "rational"}
@@ -249,6 +265,13 @@ class PrimeField(Field):
     def scale_row(self, c, xs):
         p = self.p
         return [c * x % p for x in xs]
+
+    def lincomb(self, terms):
+        acc, p = {}, self.p
+        for w, col in terms:
+            for r, x in col.items():
+                acc[r] = acc.get(r, 0) + w * x
+        return {r: y for r, x in acc.items() if (y := x % p)}
 
     def descriptor(self) -> dict:
         return {"kind": "prime", "p": self.p}

@@ -178,8 +178,11 @@ def _parse_coalgebra_document(field: Field, data: dict) -> InputDocument:
     eps_row = data.get("epsilon", [])
     epsilon = _parse_matrix(field, [eps_row], 1, n, "coalgebra epsilon")
     coalg = CoalgebraData(dim=n, delta=delta, epsilon=epsilon)
+    mods = data.get("comodules", [])
+    if not isinstance(mods, list):
+        raise InputFormatError("'comodules' must be a list")
     comodules = []
-    for idx, mod in enumerate(data.get("comodules", [])):
+    for idx, mod in enumerate(mods):
         if not isinstance(mod, dict) or "dim" not in mod or "rho" not in mod:
             raise InputFormatError(f"comodules[{idx}] needs 'dim' and 'rho'")
         d = mod["dim"]

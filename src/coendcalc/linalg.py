@@ -16,30 +16,33 @@ Kernel contract: every entry a matrix, span or kernel function returns is
 canonical in its field (see ``fields``), and zero is tested by
 truthiness, which canonical ``Fraction`` and residue zeros both support.
 Products, eliminations and Kronecker products go through the field's row
-kernels (``dot``, ``axpy``, ``scale_row``).  ``Matrix(...)`` coerces and
-shape-checks its entries; ``Matrix._trusted`` does neither and may only
-be given entries computed from canonical ones, since a non-canonical
-entry would change how a report renders.
+kernels (``dot``, ``axpy``, ``scale_row``, ``lincomb``).  ``Matrix(...)``
+coerces and shape-checks its entries; ``Matrix._trusted`` does neither
+and may only be given entries computed from canonical ones, since a
+non-canonical entry would change how a report renders.
 
-``kernel_basis`` restricts the standard basis e_0, e_1, ... of k^cols
-row by row: a redundant row pairs to zero with every vector kept so far
-and costs only those pairings; otherwise the first vector with a nonzero
-pairing clears it from the later ones and is dropped.  Vector j thus
-only gains multiples of dropped vectors of lower index: it ends with a
-one at j, its last nonzero, and zeros at the other survivors' indices.
-Column c is a non-pivot column of ``rref(m)`` exactly when some kernel
-vector has its last nonzero at c, so the survivors are the basis
-``rref(m)`` gives: a one at each non-pivot column, zeros at the others.
+``kernel_basis`` takes sparse rows (``{column: value}`` dicts storing no
+zero, keys in any order, as ``Matrix.row_terms`` gives) and restricts
+the standard basis e_0, e_1, ... of k^cols row by row, pairing over each
+row's keys only: a redundant row pairs to zero with every vector kept so
+far and costs only those pairings; otherwise the first vector with a
+nonzero pairing clears it from the later ones and is dropped.  Vector j
+thus only gains multiples of dropped vectors of lower index: it ends
+with a one at j, its last nonzero, and zeros at the other survivors'
+indices.  Column c is a non-pivot column of the rref of the rows exactly
+when some kernel vector has its last nonzero at c, so the survivors are
+the basis rref gives: a one at each non-pivot column, zeros at the others.
 
 ``SparseMap`` contract: a map is given column by column, and column j is a
 ``{row: value}`` dict of canonical entries that stores no zero, so two
 maps agree exactly when their column dicts are equal.  Maps built from a
 matrix or from vectors keep their columns; identities, swaps, products
-and Kronecker products compute a column each time it is asked for and
-store none.  Callers only read the dicts a map returns.  Products and
-Kronecker products skip the multiplication by a weight that is the
-field's ``one`` object itself, as in identities and swaps; an equal but
-distinct one is multiplied, with the same result.  ``Matrix``
+and Kronecker products compute a column each time it is asked for, and a
+product keeps, for its own lifetime, each left-factor column that a sum
+of several columns has read.  Callers only read the dicts a map returns.
+Products and Kronecker products skip the multiplication by a weight that
+is the field's ``one`` object itself, as in identities and swaps; an
+equal but distinct one is multiplied, with the same result.  ``Matrix``
 remains the one storage of structure constants and of every report.
 """
 
@@ -133,6 +136,10 @@ class Matrix:
     def col_terms(self, j: int) -> list:
         """Nonzero (row, value) pairs of column j."""
         return [(i, x) for i, x in enumerate(self.entries[j :: self.cols]) if x]
+
+    def row_terms(self, i: int) -> dict:
+        """Row i as a ``{column: value}`` dict storing no zero."""
+        return {j: x for j, x in enumerate(self.row(i)) if x}
 
     def row_list(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -240,19 +247,17 @@ def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: Matrix) -> list:
-    """Exact basis of the right null space, one vector per non-pivot
-    column of ``rref(m)`` (see the module docstring)."""
-    f, n = m.field, m.cols
-    kernel = [[f.one if i == j else f.zero for i in range(n)] for j in range(n)]
-    for i in range(m.rows):
+def kernel_basis(field: Field, cols: int, rows: Iterable) -> list:
+    """Exact basis of the vectors of k^cols that pair to zero with every
+    sparse row, one per non-pivot column (see the module docstring)."""
+    f = field
+    kernel = [[f.one if i == j else f.zero for i in range(cols)] for j in range(cols)]
+    for row in rows:
         if not kernel:
             break
-        row = m.row(i)
-        support = [c for c, x in enumerate(row) if x]
-        if not support:
+        if not row:
             continue
-        xs = [row[c] for c in support]
+        support, xs = list(row), list(row.values())
         pairings = [f.dot(xs, [v[c] for c in support]) for v in kernel]
         first = next((k for k, p in enumerate(pairings) if p), None)
         if first is None:
@@ -392,16 +397,16 @@ class SparseMap:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} after {other.rows}x{other.cols}"
             )
-        outer, inner, one, add, mul = self.column, other.column, f.one, f.add, f.mul
+        outer, inner, one, mul, lincomb = self.column, other.column, f.one, f.mul, f.lincomb
+        read = {}  # the columns of self that a sum has read, kept for reuse
 
         def column(j):
             terms = inner(j)
             if len(terms) > 1:
-                acc = {}
-                for k, w in terms.items():
-                    for r, x in outer(k).items():
-                        acc[r] = add(acc[r], mul(w, x)) if r in acc else mul(w, x)
-                return {r: x for r, x in acc.items() if x}
+                return lincomb(
+                    (w, read[k] if k in read else read.setdefault(k, outer(k)))
+                    for k, w in terms.items()
+                )
             # one term or none: a scaled column, and no sum that could cancel
             for k, w in terms.items():
                 col = outer(k)

@@ -51,11 +51,12 @@ def comodule_hom_span(
     """Basis of the space of comodule morphisms from m to n.
 
     A map g must satisfy rho_n . g = (g (x) id) . rho_m; the solutions
-    form the kernel of a linear system over the entries of g.  Column
-    s*dn + r of the system, which belongs to the elementary g = E_rs, is
-    read off the coactions without a product: rho_n . g is column r of
-    rho_n placed in column s, and (g (x) id) . rho_m is row block s of
-    rho_m moved to row block r.
+    form the kernel of a linear system over the entries of g, where
+    unknown s*dn + r is g[r, s].  Row (q*dn + r)*nc + t of the system is
+    entry (r*nc + t, q) of rho_n . g - (g (x) id) . rho_m and is read off
+    the coactions without a product: row r*nc + t of rho_n against
+    column q of g, minus the entries rho_m[s*nc + t, q] against row r
+    of g.
     """
     for mod in (m,) if m is n else (m, n):
         report = verify_comodule(c, mod)
@@ -63,22 +64,16 @@ def comodule_hom_span(
             raise ShapeError(f"comodule violates an axiom: {report.failures()[0]}")
     field = c.field
     dm, dn, nc = m.dim, n.dim, c.dim
-    rows, width = dn * nc, dn * dm  # rows of rho_n . g; unknowns in g
-    system = [field.zero] * (rows * dm * width)
-    for s in range(dm):
-        block_s = m.rho.entries[s * nc * dm : (s + 1) * nc * dm]
+    one, minus = field.one, field.neg(field.one)
+    system = []
+    for q in range(dm):
         for r in range(dn):
-            flat = s * dn + r
-            column_r = n.rho.entries[r::dn]
-            system[s * rows * width + flat : (s + 1) * rows * width : width] = column_r
-            for j in range(dm):
-                for t, val in enumerate(block_s[j::dm]):
-                    if val:
-                        k = (j * rows + r * nc + t) * width + flat
-                        system[k] = field.sub(system[k], val)
-    # Rebinding drops the assembly list before the elimination needs memory.
-    system = Matrix._trusted(field, rows * dm, width, system)
-    return [unvec_matrix(field, v, dn, dm) for v in kernel_basis(system)]
+            for t in range(nc):
+                on_n = {q * dn + s: x for s, x in n.rho.row_terms(r * nc + t).items()}
+                col = m.rho.entries[t * dm + q :: nc * dm]  # rho_m[s*nc + t, q] over s
+                on_m = {s * dn + r: x for s, x in enumerate(col) if x}
+                system.append(field.lincomb(((one, on_n), (minus, on_m))))
+    return [unvec_matrix(field, v, dn, dm) for v in kernel_basis(field, dn * dm, system)]
 
 
 def diagram_from_comodules(

@@ -290,9 +290,9 @@ def oracle_comodule_hom_span(c, m, n):
     Each elementary g (flat index in vec order) contributes the column
     vec(rho_n * g - kron(g, I) * rho_m), with g, kron(g, I) and both
     products formed as matrices; the basis is the kernel of the stacked
-    columns.
+    columns, solved by ``oracle_kernel``.
     """
-    from coendcalc import Matrix, kernel_basis, kron
+    from coendcalc import Matrix, kron
     from coendcalc.linalg import unvec_matrix, vec_matrix
 
     field = c.field
@@ -312,4 +312,4 @@ def oracle_comodule_hom_span(c, m, n):
         system = Matrix.from_cols(field, cols)
     else:
         system = Matrix(field, dn * nc * dm, 0, [])
-    return [unvec_matrix(field, v, dn, dm) for v in kernel_basis(system)]
+    return [unvec_matrix(field, v, dn, dm) for v in oracle_kernel(field, system)]

@@ -277,6 +277,15 @@ def test_bool_dimension_is_an_input_error(tmp_path, capsys, where):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", [None, 5, {}], ids=repr)
+def test_non_list_comodules_is_an_input_error(tmp_path, capsys, value):
+    data = json.loads(ROUNDTRIP_DOC)
+    data["coalgebra"]["comodules"] = value
+    path = write(tmp_path, "doc.json", json.dumps(data))
+    assert main(["roundtrip", path]) == 2
+    assert capsys.readouterr().err == "error: 'comodules' must be a list\n"
+
+
 @pytest.mark.parametrize("section", ["table", "f2"])
 def test_non_object_tensor_section_is_an_input_error(tmp_path, capsys, section):
     data = json.loads(Z2_DOC)

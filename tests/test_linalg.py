@@ -64,11 +64,16 @@ def test_rref_idempotent(field):
         assert rref(reduced)[0] == reduced
 
 
+def sparse_rows(m):
+    """The rows of ``m`` in the form ``kernel_basis`` takes."""
+    return [m.row_terms(i) for i in range(m.rows)]
+
+
 def test_kernel_examples():
-    assert kernel_basis(Matrix.identity(QQ, 3)) == []
-    (v,) = kernel_basis(Matrix.from_rows(QQ, [[1, 1]]))
+    assert kernel_basis(QQ, 3, sparse_rows(Matrix.identity(QQ, 3))) == []
+    (v,) = kernel_basis(QQ, 2, sparse_rows(Matrix.from_rows(QQ, [[1, 1]])))
     assert v[0] == -v[1] and v[1] != 0
-    (w,) = kernel_basis(Matrix.from_rows(QQ, [[1, 2], [2, 4]]))
+    (w,) = kernel_basis(QQ, 2, sparse_rows(Matrix.from_rows(QQ, [[1, 2], [2, 4]])))
     assert w[0] * Fraction(-1) == w[1] * 2  # proportional to (2, -1)
 
 
@@ -77,7 +82,7 @@ def test_kernel_property(field):
     rng = random.Random(11)
     for _ in range(25):
         m = random_matrix(field, rng.randint(1, 5), rng.randint(1, 5), rng)
-        basis = kernel_basis(m)
+        basis = kernel_basis(field, m.cols, sparse_rows(m))
         assert len(basis) == m.cols - rank(m)
         for v in basis:
             assert all(x == field.zero for x in m.apply(v))
@@ -177,7 +182,7 @@ def test_left_inverse():
 
 def test_zero_dimensional_edges():
     z = Matrix(QQ, 0, 3, [])
-    assert len(kernel_basis(z)) == 3
+    assert len(kernel_basis(QQ, 3, sparse_rows(z))) == 3
     assert rref(z)[2] == 0
     assert kron(z, Matrix.identity(QQ, 2)).rows == 0
     assert quotient_split(QQ, 0, []).quotient_dim == 0
@@ -266,7 +271,7 @@ def test_eliminations_match_plain_loops(field):
         rows, oracle_pivots = oracle_rref(field, m.row_list())
         assert reduced.row_list() == rows
         assert list(pivots) == oracle_pivots and rk == len(oracle_pivots)
-        basis = kernel_basis(m)
+        basis = kernel_basis(field, m.cols, sparse_rows(m))
         assert basis == oracle_kernel(field, m)
         assert_canonical(field, reduced.entries)
         assert_canonical(field, [x for v in basis for x in v])
@@ -295,18 +300,21 @@ def test_kernel_of_tall_low_rank_systems(field):
     for _ in range(60):
         cols = rng.randint(1, 8)
         shapes.append((rng.randint(0, 40), cols, rng.randint(0, cols - 1)))
+    shuffle = random.Random(41)
     for rows, cols, r in shapes:
         m = low_rank_matrix(field, rows, cols, r, rng)
-        basis = kernel_basis(m)
+        # the keys of each row in random order: sums are exact, order is free
+        shuffled = [dict(shuffle.sample(list(t.items()), len(t))) for t in sparse_rows(m)]
+        basis = kernel_basis(field, cols, shuffled)
         assert basis == oracle_kernel(field, m), (rows, cols, r)
         assert len(basis) == cols - oracle_rank(field, m.row_list())
         assert_canonical(field, [x for v in basis for x in v])
         assert all(not any(oracle_apply(field, m, v)) for v in basis)
     # the full-rank shapes above leave nothing, the empty ones everything
-    assert kernel_basis(Matrix(field, 0, 3, [])) == [
+    assert kernel_basis(field, 3, sparse_rows(Matrix(field, 0, 3, []))) == [
         tuple(field.one if i == j else field.zero for i in range(3)) for j in range(3)
     ]
-    assert kernel_basis(Matrix.identity(field, 4)) == []
+    assert kernel_basis(field, 4, sparse_rows(Matrix.identity(field, 4))) == []
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
@@ -361,5 +369,31 @@ def test_row_kernels_match_field_arithmetic(field):
         assert field.axpy(c, xs, ys) == [field.sub(x, field.mul(c, y)) for x, y in zip(xs, ys)]
         assert field.scale_row(c, xs) == [field.mul(c, x) for x in xs]
         assert_canonical(field, [field.dot(xs, ys), *field.axpy(c, xs, ys), *field.scale_row(c, xs)])
+        cx = {i: x for i, x in enumerate(xs) if x}
+        cy = {i: y for i, y in enumerate(ys) if y}
+        # the second sum cancels c * cx exactly, key by key
+        for terms in ([(c, cx), (field.one, cy)], [(c, cx), (field.neg(c), cx), (c, cy)]):
+            assert field.lincomb(terms) == plain_lincomb(field, terms)
+            assert_canonical(field, field.lincomb(terms).values())
 
     check()
+    # entry 0 cancels: to exactly 0 over QQ, to (p-1)*p unreduced over GF(p)
+    if field is QQ:
+        terms = [(Fraction(1, 3), {0: Fraction(3, 2), 1: Fraction(2)}), (Fraction(-1, 2), {0: Fraction(1)})]
+    else:
+        terms = [(field.p - 1, {0: field.p - 1, 1: 2}), (field.p - 1, {0: 1})]
+    total = field.lincomb(terms)
+    assert total == plain_lincomb(field, terms) == {1: field.mul(terms[0][0], 2)}
+    assert_canonical(field, total.values())
+
+
+def plain_lincomb(field, terms):
+    """The sum of ``w * col`` entry by entry with ``add`` and ``mul``, zeros dropped."""
+    keys = {r for _, col in terms for r in col}
+    total = {}
+    for r in keys:
+        value = field.zero
+        for w, col in terms:
+            value = field.add(value, field.mul(w, col.get(r, field.zero)))
+        total[r] = value
+    return {r: x for r, x in total.items() if x}

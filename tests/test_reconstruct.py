@@ -71,7 +71,7 @@ def test_hom_span_regular_comodule_endomorphisms():
         assert regular.rho * g == kron(g, ident) * regular.rho
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=repr)
 def test_hom_span_matches_product_oracle(field):
     """Direct assembly gives the product-based hom-span basis."""
     cases = [

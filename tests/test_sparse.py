@@ -68,8 +68,9 @@ def matrices(field, rows, cols):
 
 
 def matrix_chains(field):
-    """Two composable matrices and two more, every dimension 0..3."""
-    dims = st.integers(0, 3)
+    """Two composable matrices and two more, every dimension 0..5, so that
+    several columns of a right factor share left-factor columns."""
+    dims = st.integers(0, 5)
     return st.tuples(dims, dims, dims, dims, dims).flatmap(
         lambda s: st.tuples(
             matrices(field, s[0], s[1]),
@@ -99,6 +100,13 @@ def test_sparse_products_match_dense(field):
         assert dense(SparseMap.zeros(field, a.rows, b.cols)) == Matrix.zeros(field, a.rows, b.cols)
         cols = [a.col(j) for j in range(a.cols)]
         assert dense(SparseMap.from_columns(field, a.rows, cols)) == a
+        # callers only read the dicts: a second reading, in reverse order,
+        # sees the same columns, and the factors' own columns are untouched
+        own = [[dict(m.column(j)) for j in range(m.cols)] for m in (sa, sb, sc, sd)]
+        for p in (sa @ sb, sa.kron(sc) @ sb.kron(sd)):
+            first = [p.column(j) for j in range(p.cols)]
+            assert [p.column(j) for j in reversed(range(p.cols))] == first[::-1]
+        assert [[m.column(j) for j in range(m.cols)] for m in (sa, sb, sc, sd)] == own
 
     check()
 
