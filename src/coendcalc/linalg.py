@@ -39,7 +39,9 @@ maps agree exactly when their column dicts are equal.  Maps built from a
 matrix or from vectors keep their columns; identities, swaps, products
 and Kronecker products compute a column each time it is asked for, and a
 product keeps, for its own lifetime, each left-factor column that a sum
-of several columns has read.  Callers only read the dicts a map returns.
+of several columns has read.  Identities are marked, and a Kronecker
+product with an identity factor only moves the row indices of the other
+factor's columns.  Callers only read the dicts a map returns.
 Products and Kronecker products skip the multiplication by a weight that
 is the field's ``one`` object itself, as in identities and swaps; an
 equal but distinct one is multiplied, with the same result.  ``Matrix``
@@ -295,16 +297,10 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square matrix; raises ShapeError when singular."""
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
-    f = m.field
-    n = m.rows
-    ident = Matrix.identity(f, n)
-    aug = Matrix._trusted(
-        f, n, 2 * n, [x for i in range(n) for x in (*m.row(i), *ident.row(i))]
-    )
-    reduced, pivots, rk = rref(aug)
-    if rk < n or any(p >= n for p in pivots):
+    inv = left_inverse(m)
+    if inv is None:
         raise ShapeError("matrix is singular")
-    return Matrix._trusted(f, n, n, [x for i in range(n) for x in reduced.row(i)[n:]])
+    return inv
 
 
 # -- tensor structure ------------------------------------------------------
@@ -359,10 +355,11 @@ class SparseMap:
     module docstring for the contract.
     """
 
-    __slots__ = ("field", "rows", "cols", "column")
+    __slots__ = ("field", "rows", "cols", "column", "is_identity")
 
-    def __init__(self, field: Field, rows: int, cols: int, column):
+    def __init__(self, field: Field, rows: int, cols: int, column, is_identity=False):
         self.field, self.rows, self.cols, self.column = field, rows, cols, column
+        self.is_identity = is_identity
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "SparseMap":
@@ -378,7 +375,7 @@ class SparseMap:
     @classmethod
     def identity(cls, field: Field, n: int) -> "SparseMap":
         one = field.one
-        return cls(field, n, n, lambda j: {j: one})
+        return cls(field, n, n, lambda j: {j: one}, is_identity=True)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "SparseMap":
@@ -421,18 +418,32 @@ class SparseMap:
         left, right, rb, cb = self.column, other.column, other.rows, other.cols
         one, mul = f.one, f.mul
 
-        def column(j):
-            a = left(j // cb)
-            if not a:
-                return a
-            b = right(j % cb)
-            return {
-                r * rb + s: y if x is one else x if y is one else mul(x, y)
-                for r, x in a.items()
-                for s, y in b.items()
-            }
+        if self.is_identity:
+            def column(j):  # column j % cb of other, j // cb blocks down
+                shift, b = j // cb * rb, right(j % cb)
+                return {shift + s: y for s, y in b.items()} if shift else b
+        elif other.is_identity:
+            def column(j):  # column j // rb of self, rows spread with stride rb
+                s = j % rb
+                return {r * rb + s: x for r, x in left(j // rb).items()}
+        else:
+            def column(j):
+                a = left(j // cb)
+                if not a:
+                    return a
+                b = right(j % cb)
+                return {
+                    r * rb + s: y if x is one else x if y is one else mul(x, y)
+                    for r, x in a.items()
+                    for s, y in b.items()
+                }
 
         return SparseMap(f, self.rows * rb, self.cols * cb, column)
+
+    def associativity_sides(self) -> tuple:
+        """Both sides m(m (x) 1) and m(1 (x) m) of associativity of m: V (x) V -> V."""
+        one = SparseMap.identity(self.field, self.rows)
+        return self @ self.kron(one), self @ one.kron(self)
 
     def first_difference(self, other: "SparseMap"):
         """The first (column, row) where the two maps differ, or None."""

@@ -11,6 +11,7 @@ pushes the result into the block of the product object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .coend import (
@@ -28,6 +29,7 @@ from .linalg import (
     VectorSpan,
     inverse,
     kron,
+    left_inverse,
     rank,
     unvec_matrix,
     vec_matrix,
@@ -58,12 +60,22 @@ class TensorData:
                     isos[pair] = Matrix.identity(d.field, d.dim(target))
         return cls(unit=unit, table=dict(table), pair_isos=isos)
 
+    @cached_property
+    def inverses(self) -> dict:
+        """The inverse of each comparison map, once; None where it is singular."""
+        return {pair: left_inverse(iso) for pair, iso in self.pair_isos.items()}
+
 
 def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
     """Check every tensor-data invariant, with witnesses on failure.
 
     A comparison map whose shape contradicts the table is a hard
-    ShapeError; everything else is reported.
+    ShapeError; everything else is reported.  Multiplicative dimensions
+    force every dim to be 0 or 1 (dim d >= 2 would need dims d, d^2, d^3,
+    ... in a finite table).  So the comparison maps add up to one product
+    mu: e_x (x) e_y -> Phi_{x,y} e_{xy} on O, the sum of the F(x) of dim 1,
+    and coherence is the associativity of mu, its columns being the object
+    triples in order; a triple where the table is not associative fails.
     """
     report = CheckReport()
     names = d.names()
@@ -133,29 +145,25 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
         return report
 
     if not report.add_first("comparison maps invertible", (
-        f"pair ({x}, {y})" for (x, y), iso in sorted(t.pair_isos.items()) if rank(iso) != iso.rows
+        f"pair ({x}, {y})" for x, y in sorted(t.pair_isos) if t.inverses[(x, y)] is None
     )):
         return report
 
-    ones = {x: SparseMap.identity(d.field, d.dim(x)) for x in names}
-    isos = {pair: SparseMap.from_matrix(iso) for pair, iso in t.pair_isos.items()}
     report.add_first("unit comparison maps are identities", (
         f"object {x}"
         for x in names
-        if isos[(t.unit, x)].first_difference(ones[x]) is not None
-        or isos[(x, t.unit)].first_difference(ones[x]) is not None
+        if t.pair_isos[(t.unit, x)] != Matrix.identity(d.field, d.dim(x))
+        or t.pair_isos[(x, t.unit)] != Matrix.identity(d.field, d.dim(x))
     ))
 
-    def coherent(x, y, z):
-        lhs = isos[(t.table[(x, y)], z)] @ isos[(x, y)].kron(ones[z])
-        rhs = isos[(x, t.table[(y, z)])] @ ones[x].kron(isos[(y, z)])
-        return lhs.first_difference(rhs) is None
+    dim1 = [x for x in names if d.dim(x)]
+    at, n = {x: k for k, x in enumerate(dim1)}, len(dim1)
+    mu = [{at[t.table[(x, y)]]: t.pair_isos[(x, y)].entries[0]} for x in dim1 for y in dim1]
+    report.add_equal(
+        "coherence", *SparseMap(d.field, n, n * n, mu.__getitem__).associativity_sides(),
+        lambda j, _: f"triple ({dim1[j // n // n]}, {dim1[j // n % n]}, {dim1[j % n]})",
+    )
 
-    report.add_first("coherence", (
-        f"triple ({x}, {y}, {z})" for x, y, z in product(names, repeat=3) if not coherent(x, y, z)
-    ))
-
-    inverses = {pair: inverse(iso) for pair, iso in t.pair_isos.items()}
     bases = {(x, y): hom_basis(d, x, y).basis for x, y in product(names, repeat=2)}
     pairs = [pair for pair, basis in bases.items() if basis]
 
@@ -166,7 +174,7 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
             for m in bases[(src, dst)]:
                 span.add(vec_matrix(m))
             moved = (
-                t.pair_isos[(x2, y2)] * kron(a, b) * inverses[(x, y)]
+                t.pair_isos[(x2, y2)] * kron(a, b) * t.inverses[(x, y)]
                 for a in bases[(x, x2)]
                 for b in bases[(y, y2)]
             )
@@ -198,14 +206,15 @@ def coend_multiplication(c: CoendStructure, t: TensorData):
     the free columns.
     """
     d, field, n, total = c.diagram, c.diagram.field, c.dim, c.ambient_dim
-    inverses = {pair: inverse(iso) for pair, iso in t.pair_isos.items()}
+    if None in t.inverses.values():
+        raise ShapeError("comparison maps must be invertible")
     gens = [(name, flat) for name in c.layout.names for flat in range(d.dim(name) ** 2)]
     columns = []
     for x, flat_v in gens:
         s_mat = _elementary(field, d.dim(x), flat_v)
         for y, flat_w in gens:
             t_mat = _elementary(field, d.dim(y), flat_w)
-            moved = t.pair_isos[(x, y)] * kron(s_mat, t_mat) * inverses[(x, y)]
+            moved = t.pair_isos[(x, y)] * kron(s_mat, t_mat) * t.inverses[(x, y)]
             columns.append(c.structure_maps[t.table[(x, y)]].apply(vec_matrix(moved)))
 
     mult = SparseMap.from_columns(field, n, columns)

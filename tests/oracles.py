@@ -313,3 +313,28 @@ def oracle_comodule_hom_span(c, m, n):
     else:
         system = Matrix(field, dn * nc * dm, 0, [])
     return [unvec_matrix(field, v, dn, dm) for v in oracle_kernel(field, system)]
+
+
+def oracle_coherence(diagram, tensor):
+    """The first object triple (x, y, z) whose comparison maps are not
+    coherent, or None, checked one triple at a time with dense products.
+
+    The two sides Phi_{xy,z} (Phi_{x,y} (x) 1) and Phi_{x,yz} (1 (x) Phi_{y,z})
+    map into F((xy)z) and F(x(yz)).  A triple whose source has a nonzero
+    dimension fails when those objects differ or the two matrices do.
+    """
+    from itertools import product
+
+    from coendcalc import Matrix, kron
+
+    field, table, phi = diagram.field, tensor.table, tensor.pair_isos
+    for x, y, z in product(diagram.names(), repeat=3):
+        one_x = Matrix.identity(field, diagram.dim(x))
+        one_z = Matrix.identity(field, diagram.dim(z))
+        left = phi[(table[(x, y)], z)] * kron(phi[(x, y)], one_z)
+        right = phi[(x, table[(y, z)])] * kron(one_x, phi[(y, z)])
+        if left.cols and (
+            table[(table[(x, y)], z)] != table[(x, table[(y, z)])] or left != right
+        ):
+            return x, y, z
+    return None

@@ -88,6 +88,7 @@ def test_sparse_products_match_dense(field):
     def check(case):
         a, b, c, d = case
         sa, sb, sc, sd = map(SparseMap.from_matrix, case)
+        own = [[dict(m.column(j)) for j in range(m.cols)] for m in (sa, sb, sc, sd)]
         assert dense(sa) == a
         assert dense(sa @ sb) == a * b
         assert dense(sa.kron(sc)) == kron(a, c)
@@ -100,10 +101,25 @@ def test_sparse_products_match_dense(field):
         assert dense(SparseMap.zeros(field, a.rows, b.cols)) == Matrix.zeros(field, a.rows, b.cols)
         cols = [a.col(j) for j in range(a.cols)]
         assert dense(SparseMap.from_columns(field, a.rows, cols)) == a
+        # a Kronecker product with an identity factor shifts indices, on
+        # either side of a composite, and with an identity on both sides
+        products = [sa @ sb, sa.kron(sc) @ sb.kron(sd)]
+        for n in range(4):
+            one_n, ident = SparseMap.identity(field, n), Matrix.identity(field, n)
+            shifted = [
+                one_n.kron(sa), sa.kron(one_n),
+                one_n.kron(sa) @ one_n.kron(sb), sa.kron(one_n) @ sb.kron(one_n),
+                one_n.kron(one),
+            ]
+            assert [dense(p) for p in shifted] == [
+                kron(ident, a), kron(a, ident),
+                kron(ident, a * b), kron(a * b, ident),
+                Matrix.identity(field, n * a.rows),
+            ]
+            products += shifted
         # callers only read the dicts: a second reading, in reverse order,
         # sees the same columns, and the factors' own columns are untouched
-        own = [[dict(m.column(j)) for j in range(m.cols)] for m in (sa, sb, sc, sd)]
-        for p in (sa @ sb, sa.kron(sc) @ sb.kron(sd)):
+        for p in products:
             first = [p.column(j) for j in range(p.cols)]
             assert [p.column(j) for j in reversed(range(p.cols))] == first[::-1]
         assert [[m.column(j) for j in range(m.cols)] for m in (sa, sb, sc, sd)] == own

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendcalc import (
     GF,
@@ -35,6 +37,7 @@ from fixtures import (
     one_directional_z3,
     two_object_unsaturated,
 )
+from oracles import oracle_coherence
 
 
 def test_grading_skeleton_is_valid():
@@ -51,14 +54,34 @@ def test_non_associative_table_reported():
     bad = [c for c in report.checks if not c.passed]
     assert any("associativity" in c.name for c in bad)
     assert all(c.witness for c in bad)
+    # coherence compares maps into O, the sum of the F(x): its two sides
+    # land in the blocks of (xy)z and x(yz), so it fails at the same triple
+    witnesses = {c.name: c.witness for c in bad}
+    assert witnesses["coherence"] == witnesses["monoid associativity"] == "triple (g1, g1, g2)"
 
 
 def test_non_invertible_comparison_map_reported():
     d, t = grading_skeleton(QQ, 2)
     isos = dict(t.pair_isos)
     isos[("g1", "g1")] = Matrix.zeros(QQ, 1, 1)
-    report = validate_tensor(d, TensorData("g0", dict(t.table), isos))
+    singular = TensorData("g0", dict(t.table), isos)
+    report = validate_tensor(d, singular)
     assert any("invertible" in c.name and not c.passed for c in report.checks)
+    assert singular.inverses[("g1", "g1")] is None
+    with pytest.raises(ShapeError):
+        coend_multiplication(compute_coend(d), singular)
+
+
+def test_each_comparison_map_is_inverted_once(monkeypatch):
+    import coendcalc.linalg as linalg_module
+
+    d, t = grading_skeleton(QQ, 3)
+    c = compute_coend(d)
+    calls, rref = [], linalg_module.rref
+    monkeypatch.setattr(linalg_module, "rref", lambda m: calls.append(m) or rref(m))
+    assert validate_tensor(d, t).passed
+    assert coend_multiplication(c, t)[1].passed
+    assert len(calls) == 9  # one per object pair
 
 
 def test_corrupted_comparison_map_breaks_coherence():
@@ -73,6 +96,56 @@ def test_corrupted_comparison_map_breaks_coherence():
     bad = report.failures()
     assert any("coherence" in c.name for c in bad)
     assert all(c.witness for c in bad)
+
+
+def cocycle_tensor(field, k, scale, twist):
+    """The Z/k grading with comparison scalars from a normalized 2-cocycle:
+    f(i, j) = c(i) c(j) / c(i + j), times ``twist`` where i + j wraps."""
+    d, t = grading_skeleton(field, k)
+    c = [field.one, *scale[: k - 1]]
+    isos = {}
+    for i in range(k):
+        for j in range(k):
+            f = field.mul(field.mul(c[i], c[j]), field.inv(c[(i + j) % k]))
+            isos[(f"g{i}", f"g{j}")] = Matrix(field, 1, 1, [
+                field.mul(f, twist) if i + j >= k else f
+            ])
+    return d, TensorData("g0", dict(t.table), isos)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_coherence_matches_oracle_on_cocycle_data(field):
+    if field is QQ:
+        nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    else:
+        nonzero = st.integers(min_value=1, max_value=field.p - 1)
+    verdicts = set()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 5))
+        d, t = cocycle_tensor(
+            field, k, data.draw(st.lists(nonzero, min_size=4, max_size=4)), data.draw(nonzero)
+        )
+        pair = (f"g{data.draw(st.integers(0, k - 1))}", f"g{data.draw(st.integers(0, k - 1))}")
+        corrupt = data.draw(st.sampled_from(["none", "scalar", "table"]))
+        if corrupt == "scalar":
+            new = data.draw(nonzero.filter(lambda x: field.coerce(x) != t.pair_isos[pair][0, 0]))
+            t.pair_isos[pair] = Matrix(field, 1, 1, [new])
+        elif corrupt == "table":
+            names = [name for name in d.names() if name != t.table[pair]]
+            if names:
+                t.table[pair] = data.draw(st.sampled_from(names))
+        coherence = {c.name: c for c in validate_tensor(d, t).checks}["coherence"]
+        expected = oracle_coherence(d, t)
+        assert coherence.passed or corrupt != "none"  # cocycle data is coherent
+        assert coherence.passed == (expected is None)
+        assert coherence.witness == (expected and "triple (%s, %s, %s)" % expected)
+        verdicts.add(coherence.passed)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_unit_normalization_required():
