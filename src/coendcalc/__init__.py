@@ -40,7 +40,6 @@ from .end import (
     verify_algebra,
 )
 from .errors import (
-    ClosureError,
     CoendcalcError,
     FieldMismatchError,
     InputFormatError,

@@ -75,7 +75,7 @@ def _diagram_preamble(doc: InputDocument, saturate: bool):
 
 
 def _coend_section(diagram, checks: CheckReport):
-    coend = compute_coend(diagram, require_closed=False)
+    coend = compute_coend(diagram)
     labels = coend.basis_labels()
     try:
         coalg = coend.coalgebra
@@ -130,10 +130,10 @@ def cmd_coend(doc: InputDocument, saturate: bool):
 def cmd_end(doc: InputDocument, saturate: bool):
     diagram, checks = _diagram_preamble(doc, saturate)
     field = diagram.field
-    end = compute_end(diagram, require_closed=False)
+    end = compute_end(diagram)
     algebra = end.algebra
     checks.extend(verify_algebra(algebra), prefix="end algebra: ")
-    coend = compute_coend(diagram, require_closed=False)
+    coend = compute_coend(diagram)
     checks.add(
         "dim end == dim coend",
         end.dim == coend.dim,

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagram import DiagramPresentation, hom_basis, validate_diagram
-from .errors import ClosureError, InternalConsistencyError, WellDefinednessError
+from .diagram import DiagramPresentation, hom_basis
+from .errors import InternalConsistencyError, WellDefinednessError
 from .fields import Field
-from .linalg import Matrix, QuotientSplit, SparseMap, VectorSpan, kron_vec, quotient_split
+from .linalg import Matrix, QuotientSplit, SparseMap, kron_vec, quotient_split
 from .reports import CheckReport
 
 
@@ -45,21 +45,17 @@ class BlockLayout:
         raise IndexError(f"coordinate {coordinate} outside V (dim {self.total})")
 
 
-def relation_space(d: DiagramPresentation, require_closed: bool = True) -> list:
-    """Spanning set of the relation space J.
+def relation_space(d: DiagramPresentation) -> list:
+    """Spanning set of the relation space J, as sparse rows.
 
     For every pair (X, Y), every basis matrix A of the span X -> Y, and
     every elementary T = E_rc: F(Y) -> F(X), emit block_X(vec(T*A)) minus
-    block_Y(vec(A*T)).  Both are read off A without a product: T*A is row
-    c of A placed in row r, and A*T is column r of A placed in column c.
-    With ``require_closed`` (the default) a diagram failing composition
-    closure is rejected, since its spans do not present a category.
+    block_Y(vec(A*T)) as a ``{coordinate: value}`` dict storing no zero.
+    Both are read off A without a product: T*A is row c of A placed in
+    row r, and A*T is column r of A placed in column c.  Closure of the
+    spans is not needed: saturation leaves J unchanged, since
+    r(B*A, T) = r(A, T*B) + r(B, A*T) and r(id, T) = 0.
     """
-    if require_closed:
-        report = validate_diagram(d)
-        if not report.passed:
-            bad = report.failures()[0]
-            raise ClosureError(f"diagram is not saturated/valid: {bad.name}")
     layout = BlockLayout(d)
     field = d.field
     relations = []
@@ -72,13 +68,12 @@ def relation_space(d: DiagramPresentation, require_closed: bool = True) -> list:
                 for r in range(dx):
                     column_r = a.entries[r::dx]
                     for c in range(dy):
-                        vec = [field.zero] * layout.total
-                        vec[off_x + r : off_x + dx * dx : dx] = a.row(c)
+                        vec = {off_x + r + k * dx: v for k, v in a.row_terms(c).items()}
                         for i, val in enumerate(column_r):
                             if val:
                                 k = off_y + c * dy + i
-                                vec[k] = field.sub(vec[k], val)
-                        relations.append(tuple(vec))
+                                vec[k] = field.sub(vec.get(k, field.zero), val)
+                        relations.append({k: v for k, v in vec.items() if v})
     return relations
 
 
@@ -116,6 +111,10 @@ class CoendStructure:
         """Self-describing labels 'X:i,j' (1-based) of the chosen generators."""
         return [f"{name}:{i + 1},{j + 1}" for name, i, j in self.basis_coordinates()]
 
+    def relation_map(self) -> SparseMap:
+        """The map whose column k is relation basis vector k."""
+        return SparseMap.from_columns(self.diagram.field, self.ambient_dim, self.relation_basis)
+
     def image_of(self, name: str, flat: int) -> tuple:
         """Coend coordinates of the generator with flat index in block name."""
         return self.structure_maps[name].col(flat)
@@ -126,30 +125,21 @@ class CoendStructure:
         return coalgebra_structure(self)
 
 
-def compute_coend(d: DiagramPresentation, require_closed: bool = True) -> CoendStructure:
-    """Quotient V by the relation space and slice out the structure maps."""
+def compute_coend(d: DiagramPresentation) -> CoendStructure:
+    """Split V by the relation space and slice out the structure maps."""
     field = d.field
     layout = BlockLayout(d)
-    relations = relation_space(d, require_closed=require_closed)
-    span = VectorSpan(field, layout.total)
-    for r in relations:
-        span.add(r)
-    basis = tuple(span.basis())
-    split = quotient_split(field, layout.total, basis)
-    structure_maps = {}
+    split = quotient_split(field, layout.total, relation_space(d))
     proj = split.projection
+    structure_maps = {}
     for name in layout.names:
-        off = layout.offsets[name]
-        size = layout.sizes[name]
-        entries = []
-        for i in range(proj.rows):
-            row = proj.row(i)
-            entries.extend(row[off : off + size])
-        structure_maps[name] = Matrix(field, proj.rows, size, entries)
+        lo, hi = layout.offsets[name], layout.offsets[name] + layout.sizes[name]
+        entries = [x for i in range(proj.rows) for x in proj.row(i)[lo:hi]]
+        structure_maps[name] = Matrix._trusted(field, proj.rows, hi - lo, entries)
     return CoendStructure(
         diagram=d,
         layout=layout,
-        relation_basis=basis,
+        relation_basis=split.subspace_basis,
         split=split,
         structure_maps=structure_maps,
     )
@@ -206,16 +196,18 @@ def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
     """
     field, n, free = c.diagram.field, c.dim, c.split.free
     delta_cols, eps_row = generator_coalgebra_maps(c)
-    rows = [x for col in delta_cols for x in col]
-    delta_v = Matrix._trusted(field, len(delta_cols), n * n, rows).transpose()
-    eps_v = Matrix._trusted(field, 1, len(eps_row), eps_row)
-    maps = (("comultiplication", delta_v), ("counit", eps_v))
+    rel = c.relation_map()
+    maps = (
+        ("comultiplication", SparseMap.from_columns(field, n * n, delta_cols) @ rel),
+        ("counit", SparseMap.from_columns(field, 1, [(e,) for e in eps_row]) @ rel),
+    )
     failure = next(
-        ((what, rel) for rel in c.relation_basis for what, m in maps if any(m.apply(rel))), None
+        ((what, vec) for k, vec in enumerate(c.relation_basis) for what, m in maps if m.column(k)),
+        None,
     )
     if failure is not None:
-        what, rel = failure
-        raise WellDefinednessError(f"{what} does not vanish on the relation space", witness=rel)
+        what, vec = failure
+        raise WellDefinednessError(f"{what} does not vanish on the relation space", witness=vec)
     delta = Matrix._trusted(field, n, n * n, [x for a in free for x in delta_cols[a]])
     epsilon = Matrix._trusted(field, 1, n, [eps_row[a] for a in free])
     return CoalgebraData(dim=n, delta=delta.transpose(), epsilon=epsilon)

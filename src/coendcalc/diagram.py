@@ -98,11 +98,17 @@ def hom_basis(d: DiagramPresentation, src: str, dst: str) -> HomBasis:
     turned back into matrices, so it only depends on the span itself.
     """
     rows_d, cols_d = d.dim(dst), d.dim(src)
-    span = VectorSpan(d.field, rows_d * cols_d)
-    for m in d.span(src, dst):
-        span.add(vec_matrix(m))
+    span = _span(d.field, rows_d * cols_d, d.span(src, dst))
     basis = tuple(unvec_matrix(d.field, v, rows_d, cols_d) for v in span.basis())
     return HomBasis(src, dst, basis)
+
+
+def _span(field: Field, dim: int, mats) -> VectorSpan:
+    """The span of the vectorized matrices, in a space of dimension ``dim``."""
+    span = VectorSpan(field, dim)
+    for m in mats:
+        span.add(vec_matrix(m))
+    return span
 
 
 def vectorize_hom(d: DiagramPresentation, name: str, t: Matrix):
@@ -135,9 +141,7 @@ def validate_diagram(d: DiagramPresentation) -> CheckReport:
     for name, dim in d.objects:
         if dim == 0:
             continue
-        span = VectorSpan(d.field, dim * dim)
-        for m in d.span(name, name):
-            span.add(vec_matrix(m))
+        span = _span(d.field, dim * dim, d.span(name, name))
         if span.contains(vec_matrix(Matrix.identity(d.field, dim))):
             report.ok(f"identity in span ({name} -> {name})")
         else:
@@ -149,6 +153,7 @@ def validate_diagram(d: DiagramPresentation) -> CheckReport:
     names = d.names()
     bases = {(x, y): hom_basis(d, x, y) for x in names for y in names}
     for x in names:
+        targets = {}  # z -> the span of (x -> z), built once
         for y in names:
             first = bases[(x, y)]
             if not first.basis:
@@ -157,9 +162,9 @@ def validate_diagram(d: DiagramPresentation) -> CheckReport:
                 second = bases[(y, z)]
                 if not second.basis:
                     continue
-                target = VectorSpan(d.field, d.dim(z) * d.dim(x))
-                for m in bases[(x, z)].basis:
-                    target.add(vec_matrix(m))
+                if z not in targets:
+                    targets[z] = _span(d.field, d.dim(z) * d.dim(x), bases[(x, z)].basis)
+                target = targets[z]
                 report.add_first(f"closure ({x} -> {y} -> {z})", (
                     f"composite of span matrices escapes span ({x} -> {z})"
                     for a in first.basis
@@ -180,10 +185,7 @@ def saturate_spans(d: DiagramPresentation) -> DiagramPresentation:
     spans = {}
     for x in names:
         for y in names:
-            sp = VectorSpan(d.field, d.dim(y) * d.dim(x))
-            for m in d.span(x, y):
-                sp.add(vec_matrix(m))
-            spans[(x, y)] = sp
+            spans[(x, y)] = _span(d.field, d.dim(y) * d.dim(x), d.span(x, y))
     for name, dim in d.objects:
         if dim > 0:
             spans[(name, name)].add(vec_matrix(Matrix.identity(d.field, dim)))

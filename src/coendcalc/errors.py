@@ -13,10 +13,6 @@ class ShapeError(CoendcalcError, ValueError):
     """A matrix or vector has the wrong dimensions for the operation."""
 
 
-class ClosureError(CoendcalcError, ValueError):
-    """A diagram is not closed under composition where closure is required."""
-
-
 class WellDefinednessError(CoendcalcError, ValueError):
     """A map defined on generators does not vanish on the relation space.
 

@@ -33,6 +33,15 @@ indices.  Column c is a non-pivot column of the rref of the rows exactly
 when some kernel vector has its last nonzero at c, so the survivors are
 the basis rref gives: a one at each non-pivot column, zeros at the others.
 
+``quotient_split`` splits k^n by the span J of sparse rows with that one
+kernel and no elimination of J.  A vector pairs to zero with J exactly
+when it lies in J^perp, so the kernel vectors, taken as rows, form a
+projection P: k^n -> k^q whose kernel is J; each is one at its own free
+column (its last nonzero) and zero at the other free columns, so P is
+the identity on ``free``.  The rref row of J at a pivot column c is
+e_c - sum_a P[a, c] e_free[a]: it is one at c, zero at the other pivot
+columns, and P kills it.
+
 ``SparseMap`` contract: a map is given column by column, and column j is a
 ``{row: value}`` dict of canonical entries that stores no zero, so two
 maps agree exactly when their column dicts are equal.  Maps built from a
@@ -469,6 +478,8 @@ class QuotientSplit:
     The quotient basis is indexed by the non-pivot coordinates of the rref
     of the subspace, ``free``; the section maps quotient basis vector a to
     the ambient coordinate vector of its non-pivot column ``free[a]``.
+    ``subspace_basis`` holds the nonzero rref rows of the subspace, one
+    per pivot column, as dense tuples.
     """
 
     ambient_dim: int
@@ -489,25 +500,24 @@ class QuotientSplit:
         return Matrix._trusted(f, self.ambient_dim, q, sect)
 
 
-def quotient_split(field: Field, ambient_dim: int, subspace_basis: Iterable) -> QuotientSplit:
-    """Split ``k^ambient_dim`` by the span of the given vectors."""
-    vecs = [tuple(field.coerce(x) for x in v) for v in subspace_basis]
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise ShapeError(f"subspace vector of length {len(v)} in dim {ambient_dim}")
-    sub = Matrix._trusted(field, len(vecs), ambient_dim, [x for v in vecs for x in v])
-    reduced, pivots, rk = rref(sub)
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
-    proj = [field.zero] * (len(free) * ambient_dim)
-    for a, fc in enumerate(free):
-        proj[a * ambient_dim + fc] = field.one
-        for r, pc in enumerate(pivots):
-            proj[a * ambient_dim + pc] = field.neg(reduced[r, fc])
+def quotient_split(field: Field, ambient_dim: int, rows: Iterable) -> QuotientSplit:
+    """Split ``k^ambient_dim`` by the span J of the given sparse rows, with
+    one restriction kernel (see the module docstring)."""
+    proj = kernel_basis(field, ambient_dim, rows)
+    free = tuple(max(i for i, x in enumerate(v) if x) for v in proj)
+    free_set, zero, neg = set(free), field.zero, field.neg
+    basis = []
+    for c in (c for c in range(ambient_dim) if c not in free_set):
+        row = [zero] * ambient_dim
+        row[c] = field.one
+        for fc, p in zip(free, proj):
+            if p[c]:
+                row[fc] = neg(p[c])
+        basis.append(tuple(row))
     return QuotientSplit(
         ambient_dim=ambient_dim,
-        subspace_basis=tuple(vecs),
-        projection=Matrix._trusted(field, len(free), ambient_dim, proj),
+        subspace_basis=tuple(basis),
+        projection=Matrix._trusted(field, len(free), ambient_dim, [x for v in proj for x in v]),
         free=free,
     )
 

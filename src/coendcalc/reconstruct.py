@@ -23,7 +23,7 @@ from .coend import (
 )
 from .diagram import DiagramPresentation
 from .errors import ShapeError, WellDefinednessError
-from .linalg import Matrix, kernel_basis, kron, rank, unvec_matrix
+from .linalg import Matrix, SparseMap, kernel_basis, kron, rank, unvec_matrix
 from .reports import CheckReport
 
 
@@ -118,13 +118,13 @@ def canonical_map(
         for i in range(d):
             for j in range(d):
                 cols.append(tuple(mod.rho[i * nc + a, j] for a in range(nc)))
-    phi_v = Matrix.from_cols(field, cols) if cols else Matrix(field, nc, 0, [])
-    failure = next(
-        (ridx for ridx, rel in enumerate(coend.relation_basis) if any(phi_v.apply(rel))), None
+    rel = coend.relation_map()
+    failure = (SparseMap.from_columns(field, nc, cols) @ rel).first_difference(
+        SparseMap.zeros(field, nc, rel.cols)
     )
     if failure is not None:
         raise WellDefinednessError(
-            "canonical map does not vanish on the relation space", witness=f"relation {failure}"
+            "canonical map does not vanish on the relation space", witness=f"relation {failure[0]}"
         )
     free = [cols[fc] for fc in coend.split.free]
     return Matrix.from_cols(field, free) if free else Matrix(field, nc, 0, [])

@@ -218,7 +218,7 @@ def coend_multiplication(c: CoendStructure, t: TensorData):
             columns.append(c.structure_maps[t.table[(x, y)]].apply(vec_matrix(moved)))
 
     mult = SparseMap.from_columns(field, n, columns)
-    rel = SparseMap.from_columns(field, total, c.relation_basis)
+    rel = c.relation_map()
     one = SparseMap.identity(field, total)
     zero = SparseMap.zeros(field, n, rel.cols * total)
     report = CheckReport()

@@ -319,7 +319,7 @@ def test_criterion_10_saturation_necessity():
             field, saturated_diagram
         )
         ok = ok and rank_before == rank_after == oracle_rank(field, stacked)
-        unsaturated = compute_coend(diagram, require_closed=False)
+        unsaturated = compute_coend(diagram)
         saturated = compute_coend(saturated_diagram)
         library_stacked = unsaturated.relation_basis + saturated.relation_basis
         ok = ok and (

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendcalc import (
     GF,
     QQ,
-    ClosureError,
     CoalgebraData,
     DiagramPresentation,
     Matrix,
@@ -19,6 +20,7 @@ from coendcalc import (
     is_coalgebra_map,
     relation_space,
     saturate_spans,
+    validate_diagram,
     verify_coalgebra,
 )
 from coendcalc.coend import (
@@ -52,14 +54,22 @@ from oracles import (
 # -- relation space ----------------------------------------------------------
 
 
+def dense_relations(d):
+    """``relation_space(d)`` with each sparse row written out densely."""
+    rels = relation_space(d)
+    assert all(all(v for v in r.values()) for r in rels)  # rows store no zero
+    total = sum(dim * dim for _, dim in d.objects)
+    return [tuple(r.get(k, d.field.zero) for k in range(total)) for r in rels]
+
+
 def test_relations_vanish_for_identity_span():
-    rels = relation_space(comatrix_diagram(QQ, 2))
+    rels = dense_relations(comatrix_diagram(QQ, 2))
     assert all(all(x == 0 for x in r) for r in rels)
 
 
 def test_relations_full_matrix_algebra_are_traceless():
     d = full_matrix_diagram(QQ, 2)
-    rels = relation_space(d)
+    rels = dense_relations(d)
     assert oracle_rank(QQ, rels) == 3
     assert oracle_commutator_span_dim(QQ, d.span("X", "X"), 2) == 3
     # every relation is a commutator with the identity coordinates removed:
@@ -69,7 +79,7 @@ def test_relations_full_matrix_algebra_are_traceless():
 
 
 def test_relations_connected_pair():
-    rels = relation_space(connected_pair(QQ))
+    rels = dense_relations(connected_pair(QQ))
     assert oracle_rank(QQ, rels) == 1
     span = {tuple(r) for r in rels if any(x != 0 for x in r)}
     assert span == {(Fraction(1), Fraction(-1))} | span  # e_X - e_Y direction
@@ -89,14 +99,68 @@ def test_relation_space_matches_product_oracle(field):
     cases.append(("regular and fundamental d=2",
                   diagram_from_comodules(*comatrix_with_two_comodules(field))))
     for name, d in cases:
-        assert relation_space(d, require_closed=False) == oracle_relation_space(d), name
+        assert dense_relations(d) == oracle_relation_space(d), name
 
 
-def test_relation_space_rejects_unsaturated():
-    with pytest.raises(ClosureError):
-        relation_space(two_object_unsaturated(QQ))
-    rels = relation_space(two_object_unsaturated(QQ), require_closed=False)
-    assert rels
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_unsaturated_coend_equals_saturated_coend(field):
+    """r(B*A, T) = r(A, T*B) + r(B, A*T) and r(id, T) = 0, so saturation
+    adds no relation: the coend of a diagram that fails closure is the
+    coend of its saturation, split for split."""
+    d = two_object_unsaturated(field)
+    assert not validate_diagram(d).passed
+    assert relation_space(d)
+    before, after = compute_coend(d), compute_coend(saturate_spans(d))
+    assert before.dim == after.dim
+    assert before.split.free == after.split.free
+    assert before.split.projection == after.split.projection
+    assert before.coalgebra.delta == after.coalgebra.delta
+    assert before.coalgebra.epsilon == after.coalgebra.epsilon
+
+
+def small_diagrams(field):
+    """One to three objects of dim 0 to 2, and up to two random span
+    matrices on each ordered pair."""
+    if field is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+
+    def spans(dims):
+        pairs = [(x, y) for x in range(len(dims)) for y in range(len(dims))]
+        mats = [
+            st.lists(
+                st.lists(scalar, min_size=dims[x] * dims[y], max_size=dims[x] * dims[y]),
+                max_size=2,
+            )
+            for x, y in pairs
+        ]
+        return st.tuples(st.just(dims), st.just(pairs), st.tuples(*mats))
+
+    def build(case):
+        dims, pairs, mats = case
+        names = [f"O{i}" for i in range(len(dims))]
+        hom_spans = {
+            (names[x], names[y]): [Matrix(field, dims[y], dims[x], e) for e in entries]
+            for (x, y), entries in zip(pairs, mats)
+            if entries
+        }
+        return DiagramPresentation(field, list(zip(names, dims)), hom_spans)
+
+    return st.lists(st.integers(0, 2), min_size=1, max_size=3).flatmap(spans).map(build)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_saturation_leaves_the_relation_space_unchanged(field):
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(small_diagrams(field))
+    def check(d):
+        before, after = dense_relations(d), dense_relations(saturate_spans(d))
+        rk = oracle_rank(field, before)
+        assert oracle_rank(field, after) == rk
+        assert oracle_rank(field, before + after) == rk
+
+    check()
 
 
 # -- coend dimensions --------------------------------------------------------

@@ -129,7 +129,7 @@ def test_vec_of_product_identity(field):
 
 
 def test_quotient_split_line():
-    split = quotient_split(QQ, 2, [(1, 1)])
+    split = quotient_split(QQ, 2, [{0: Fraction(1), 1: Fraction(1)}])
     assert split.quotient_dim == 1
     assert split.projection.apply((1, 1)) == (Fraction(0),)
     assert split.projection * split.section == Matrix.identity(QQ, 1)
@@ -139,7 +139,7 @@ def test_quotient_split_trivial_cases():
     empty = quotient_split(QQ, 3, [])
     assert empty.quotient_dim == 3
     assert empty.projection == Matrix.identity(QQ, 3)
-    full = quotient_split(QQ, 2, [(1, 0), (0, 1)])
+    full = quotient_split(QQ, 2, [{0: Fraction(1)}, {1: Fraction(1)}])
     assert full.quotient_dim == 0
 
 
@@ -149,11 +149,49 @@ def test_quotient_split_invariants(field):
     for _ in range(20):
         n = rng.randint(0, 6)
         vecs = [tuple(random_matrix(field, 1, n, rng).row(0)) for _ in range(rng.randint(0, 4))]
-        split = quotient_split(field, n, vecs)
+        split = quotient_split(field, n, [{i: x for i, x in enumerate(v) if x} for v in vecs])
         assert split.quotient_dim == n - rank(Matrix(field, len(vecs), n, [x for v in vecs for x in v]))
         for v in vecs:
             assert all(x == field.zero for x in split.projection.apply(v))
         assert split.projection * split.section == Matrix.identity(field, split.quotient_dim)
+
+
+def sparse_row_sets(field):
+    """An ambient dimension and up to eight sparse rows in it."""
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    else:
+        scalar = st.integers(min_value=1, max_value=field.p - 1)
+    return st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.dictionaries(st.integers(0, max(n - 1, 0)), scalar, max_size=n), max_size=8),
+        )
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_quotient_split_properties(field):
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(sparse_row_sets(field))
+    def check(case):
+        n, rows = case
+        dense = [tuple(r.get(c, field.zero) for c in range(n)) for r in rows]
+        split = quotient_split(field, n, rows)
+        proj = split.projection
+        # the projection kills every row and is the identity on ``free``
+        for v in dense:
+            assert not any(proj.apply(v))
+        assert [[proj[a, fc] for fc in split.free] for a in range(proj.rows)] == (
+            Matrix.identity(field, len(split.free)).row_list()
+        )
+        # the reduced basis of J is what rref gives, and the dims add up
+        reduced, _, rk = rref(Matrix(field, len(dense), n, [x for v in dense for x in v]))
+        assert list(split.subspace_basis) == [reduced.row(i) for i in range(rk)]
+        assert split.quotient_dim == n - rk
+        assert_canonical(field, [*proj.entries, *(x for v in split.subspace_basis for x in v)])
+
+    check()
 
 
 def test_solve_and_inverse():
