@@ -21,17 +21,24 @@ from .reports import CheckReport
 
 
 class BlockLayout:
-    """Offsets of the per-object endomorphism blocks inside V."""
+    """Offsets of the per-object endomorphism blocks inside V.
+
+    ``transposed`` is the permutation of V taking the coordinate of each
+    generator (i, j) to that of (j, i) in the same block.
+    """
 
     def __init__(self, d: DiagramPresentation):
         self.names = d.names()
         self.sizes = {name: d.dim(name) ** 2 for name in self.names}
-        self.offsets = {}
+        self.offsets, transposed = {}, []
         total = 0
         for name in self.names:
             self.offsets[name] = total
+            n = d.dim(name)
+            transposed += (total + j * n + i for i in range(n) for j in range(n))
             total += self.sizes[name]
         self.total = total
+        self.transposed = tuple(transposed)
 
     def coordinate(self, name: str, flat: int) -> int:
         return self.offsets[name] + flat
@@ -83,7 +90,6 @@ class CoendStructure:
 
     diagram: DiagramPresentation
     layout: BlockLayout
-    relation_basis: tuple
     split: QuotientSplit
     structure_maps: dict  # object name -> (dim x d_X^2) matrix
 
@@ -97,7 +103,7 @@ class CoendStructure:
 
     @property
     def relation_dim(self) -> int:
-        return len(self.relation_basis)
+        return self.ambient_dim - self.dim
 
     def basis_coordinates(self) -> list:
         """Per basis vector, the generator (object, i, j) its section picks."""
@@ -112,8 +118,8 @@ class CoendStructure:
         return [f"{name}:{i + 1},{j + 1}" for name, i, j in self.basis_coordinates()]
 
     def relation_map(self) -> SparseMap:
-        """The map whose column k is relation basis vector k."""
-        return SparseMap.from_columns(self.diagram.field, self.ambient_dim, self.relation_basis)
+        """The map whose column k is the rref row of J at its k-th pivot column."""
+        return self.split.subspace_map()
 
     def image_of(self, name: str, flat: int) -> tuple:
         """Coend coordinates of the generator with flat index in block name."""
@@ -136,13 +142,7 @@ def compute_coend(d: DiagramPresentation) -> CoendStructure:
         lo, hi = layout.offsets[name], layout.offsets[name] + layout.sizes[name]
         entries = [x for i in range(proj.rows) for x in proj.row(i)[lo:hi]]
         structure_maps[name] = Matrix._trusted(field, proj.rows, hi - lo, entries)
-    return CoendStructure(
-        diagram=d,
-        layout=layout,
-        relation_basis=split.subspace_basis,
-        split=split,
-        structure_maps=structure_maps,
-    )
+    return CoendStructure(diagram=d, layout=layout, split=split, structure_maps=structure_maps)
 
 
 @dataclass(frozen=True)
@@ -201,13 +201,12 @@ def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
         ("comultiplication", SparseMap.from_columns(field, n * n, delta_cols) @ rel),
         ("counit", SparseMap.from_columns(field, 1, [(e,) for e in eps_row]) @ rel),
     )
-    failure = next(
-        ((what, vec) for k, vec in enumerate(c.relation_basis) for what, m in maps if m.column(k)),
-        None,
-    )
+    failure = next(((what, k) for k in range(rel.cols) for what, m in maps if m.column(k)), None)
     if failure is not None:
-        what, vec = failure
-        raise WellDefinednessError(f"{what} does not vanish on the relation space", witness=vec)
+        what, k = failure
+        raise WellDefinednessError(
+            f"{what} does not vanish on the relation space", witness=f"relation {k}"
+        )
     delta = Matrix._trusted(field, n, n * n, [x for a in free for x in delta_cols[a]])
     epsilon = Matrix._trusted(field, 1, n, [eps_row[a] for a in free])
     return CoalgebraData(dim=n, delta=delta.transpose(), epsilon=epsilon)

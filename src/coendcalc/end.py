@@ -1,9 +1,15 @@
-"""The end of a diagram as its commutant, and the duality with the coend.
+"""The end of a diagram as the annihilator of the coend's relations, and
+the duality with the coend.
 
 A point of the end is a tuple of endomorphisms, one per object, commuting
 with every span matrix.  The tuples live in the same block coordinates as
-the coend's ambient space, which makes the trace pairing between end
-tuples and coend generators a literal index lookup.
+the coend's ambient space V, and the trace pairing
+<t, v> = sum_X tr(t_X v_X) meets the coordinate of generator (i, j) of a
+tuple with that of (j, i) of a vector of V, ``BlockLayout.transposed``.
+For a span matrix A: X -> Y and an elementary T: F(Y) -> F(X) the pairing
+of t with the relation r(A, T) is tr(T (A t_X - t_Y A)), so the end is
+exactly J^perp (Joyal-Street): the kernel of the relation rows of
+``relation_space`` with each block's coordinates transposed.
 """
 
 from __future__ import annotations
@@ -11,28 +17,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coend import BlockLayout, CoalgebraData, CoendStructure
-from .diagram import DiagramPresentation, hom_basis
+from .coend import BlockLayout, CoalgebraData, CoendStructure, relation_space
+from .diagram import DiagramPresentation
 from .errors import InternalConsistencyError, WellDefinednessError
-from .linalg import (
-    Matrix,
-    SparseMap,
-    kernel_basis,
-    left_inverse,
-    rank,
-    unvec_matrix,
-    vec_matrix,
-)
+from .linalg import Matrix, SparseMap, kernel_basis, rank, unvec_matrix, vec_matrix
 from .reports import CheckReport
 
 
 @dataclass(frozen=True)
 class EndStructure:
-    """Basis of commuting tuples, stored as block vectors."""
+    """Basis of commuting tuples, stored as block vectors.
+
+    Basis vector a is one at coordinate ``free[a]``, its last nonzero, and
+    zero at the other free coordinates.
+    """
 
     diagram: DiagramPresentation
     layout: BlockLayout
     basis: tuple  # tuple of block vectors
+    free: tuple
 
     @property
     def dim(self) -> int:
@@ -65,25 +68,15 @@ class EndStructure:
 
 
 def compute_end(d: DiagramPresentation) -> EndStructure:
-    """Solve the stacked commuting conditions T_Y A = A T_X as one kernel."""
-    field = d.field
+    """The tuples that pair to zero with every relation under the trace
+    pairing: one restriction kernel of the ``relation_space`` rows, each
+    block's coordinates transposed (see the module docstring)."""
     layout = BlockLayout(d)
-    one, minus = field.one, field.neg(field.one)
-    rows = []
-    for x in d.names():
-        dx, off_x = d.dim(x), layout.offsets[x]
-        for y in d.names():
-            dy, off_y = d.dim(y), layout.offsets[y]
-            for a in hom_basis(d, x, y).basis:
-                # entry (k, i) of T_Y A - A T_X: column i of A against row k
-                # of T_Y, minus row k of A against column i of T_X
-                for i in range(dx):
-                    for k in range(dy):
-                        on_y = {off_y + j * dy + k: v for j, v in a.col_terms(i)}
-                        on_x = {off_x + i * dx + l: v for l, v in a.row_terms(k).items()}
-                        rows.append(field.lincomb(((one, on_y), (minus, on_x))))
-    basis = kernel_basis(field, layout.total, rows)
-    return EndStructure(diagram=d, layout=layout, basis=tuple(basis))
+    to = layout.transposed
+    rows = ({to[k]: v for k, v in row.items()} for row in relation_space(d))
+    basis = tuple(kernel_basis(d.field, layout.total, rows))
+    free = tuple(max(i for i, x in enumerate(v) if x) for v in basis)
+    return EndStructure(diagram=d, layout=layout, basis=basis, free=free)
 
 
 @dataclass(frozen=True)
@@ -122,36 +115,30 @@ def verify_algebra(a: AlgebraData) -> CheckReport:
 
 
 def end_algebra(e: EndStructure) -> AlgebraData:
-    """Structure constants of componentwise composition of tuples."""
-    field = e.diagram.field
-    n = e.dim
+    """Structure constants of componentwise composition of tuples.
+
+    The basis is the identity on ``free``, so a tuple of the end has its
+    coordinates at ``free``.  Composites of commuting tuples commute, so
+    the basis applied to the coordinates read off each product (and off
+    the identity tuple) must give that tuple back.
+    """
+    field, n, total = e.diagram.field, e.dim, e.layout.total
     if n == 0:
         return AlgebraData(dim=0, product=Matrix(field, 0, 0, []), unit=())
-    basis_matrix = Matrix.from_cols(field, list(e.basis))
-    coords = left_inverse(basis_matrix)
-    if coords is None:
-        raise InternalConsistencyError("end basis is not linearly independent")
-
-    def express(vec):
-        got = coords.apply(vec)
-        # tuples of commuting tuples commute, so the residual must vanish
-        if basis_matrix.apply(got) != tuple(vec):
-            raise InternalConsistencyError("product tuple escaped the end")
-        return got
-
     blocks = [e.tuple_blocks(b) for b in range(n)]
-    product_cols = []
-    for a in range(n):
-        for b in range(n):
-            out = [field.zero] * e.layout.total
-            for name in e.layout.names:
-                off = e.layout.offsets[name]
-                prod = blocks[a][name] * blocks[b][name]
-                for k, val in enumerate(vec_matrix(prod)):
-                    out[off + k] = val
-            product_cols.append(express(out))
-    unit = express(e.identity_vector())
-    return AlgebraData(dim=n, product=Matrix.from_cols(field, product_cols), unit=unit)
+    tuples = [
+        [x for name in e.layout.names for x in vec_matrix(blocks[a][name] * blocks[b][name])]
+        for a in range(n)
+        for b in range(n)
+    ]
+    tuples.append(e.identity_vector())
+    coords = [tuple(v[fc] for fc in e.free) for v in tuples]
+    basis = SparseMap.from_columns(field, total, e.basis)
+    expressed = basis @ SparseMap.from_columns(field, n, coords)
+    if expressed.first_difference(SparseMap.from_columns(field, total, tuples)) is not None:
+        raise InternalConsistencyError("product tuple escaped the end")
+    product = Matrix._trusted(field, n * n, n, [x for c in coords[:-1] for x in c]).transpose()
+    return AlgebraData(dim=n, product=product, unit=coords[-1])
 
 
 def dual_algebra(c: CoalgebraData) -> AlgebraData:
@@ -169,16 +156,7 @@ def pairing_functional(e: EndStructure, b: int) -> tuple:
     Its value on the generator (i, j) of block X is entry (i, j) of the
     tuple's X component.
     """
-    field = e.diagram.field
-    vec = e.basis[b]
-    out = [field.zero] * e.layout.total
-    for name in e.layout.names:
-        d = e.diagram.dim(name)
-        off = e.layout.offsets[name]
-        for i in range(d):
-            for j in range(d):
-                out[off + i * d + j] = vec[off + j * d + i]
-    return tuple(out)
+    return tuple(e.basis[b][k] for k in e.layout.transposed)
 
 
 def duality_isomorphism(e: EndStructure, c: CoendStructure):

@@ -34,13 +34,14 @@ when some kernel vector has its last nonzero at c, so the survivors are
 the basis rref gives: a one at each non-pivot column, zeros at the others.
 
 ``quotient_split`` splits k^n by the span J of sparse rows with that one
-kernel and no elimination of J.  A vector pairs to zero with J exactly
-when it lies in J^perp, so the kernel vectors, taken as rows, form a
-projection P: k^n -> k^q whose kernel is J; each is one at its own free
-column (its last nonzero) and zero at the other free columns, so P is
-the identity on ``free``.  The rref row of J at a pivot column c is
-e_c - sum_a P[a, c] e_free[a]: it is one at c, zero at the other pivot
-columns, and P kills it.
+kernel and no elimination of J, and returns only P and ``free``.  A
+vector pairs to zero with J exactly when it lies in J^perp, so the
+kernel vectors, taken as rows, form a projection P: k^n -> k^q whose
+kernel is J; each is one at its own free column (its last nonzero) and
+zero at the other free columns, so P is the identity on ``free``.  J's
+rref rows are derived from the two on demand (``subspace_map``): the
+row at a pivot column c is e_c - sum_a P[a, c] e_free[a], one at c, zero
+at the other pivot columns, and killed by P.
 
 ``SparseMap`` contract: a map is given column by column, and column j is a
 ``{row: value}`` dict of canonical entries that stores no zero, so two
@@ -478,12 +479,9 @@ class QuotientSplit:
     The quotient basis is indexed by the non-pivot coordinates of the rref
     of the subspace, ``free``; the section maps quotient basis vector a to
     the ambient coordinate vector of its non-pivot column ``free[a]``.
-    ``subspace_basis`` holds the nonzero rref rows of the subspace, one
-    per pivot column, as dense tuples.
     """
 
     ambient_dim: int
-    subspace_basis: tuple
     projection: Matrix
     free: tuple
 
@@ -499,26 +497,29 @@ class QuotientSplit:
             sect[fc * q + a] = f.one
         return Matrix._trusted(f, self.ambient_dim, q, sect)
 
+    def subspace_map(self) -> SparseMap:
+        """The map whose column k is the rref row of the subspace at its
+        k-th pivot column c: e_c - sum_a P[a, c] e_free[a]."""
+        f, proj = self.projection.field, self.projection
+        cols = {c: {c: f.one} for c in range(self.ambient_dim)}
+        for a, fc in enumerate(self.free):
+            del cols[fc]
+            # row a is one at fc and nonzero elsewhere only at pivot columns
+            for c, x in proj.row_terms(a).items():
+                if c != fc:
+                    cols[c][fc] = f.neg(x)
+        cols = list(cols.values())
+        return SparseMap(f, self.ambient_dim, len(cols), cols.__getitem__)
+
 
 def quotient_split(field: Field, ambient_dim: int, rows: Iterable) -> QuotientSplit:
     """Split ``k^ambient_dim`` by the span J of the given sparse rows, with
     one restriction kernel (see the module docstring)."""
     proj = kernel_basis(field, ambient_dim, rows)
-    free = tuple(max(i for i, x in enumerate(v) if x) for v in proj)
-    free_set, zero, neg = set(free), field.zero, field.neg
-    basis = []
-    for c in (c for c in range(ambient_dim) if c not in free_set):
-        row = [zero] * ambient_dim
-        row[c] = field.one
-        for fc, p in zip(free, proj):
-            if p[c]:
-                row[fc] = neg(p[c])
-        basis.append(tuple(row))
     return QuotientSplit(
         ambient_dim=ambient_dim,
-        subspace_basis=tuple(basis),
-        projection=Matrix._trusted(field, len(free), ambient_dim, [x for v in proj for x in v]),
-        free=free,
+        projection=Matrix._trusted(field, len(proj), ambient_dim, [x for v in proj for x in v]),
+        free=tuple(max(i for i, x in enumerate(v) if x) for v in proj),
     )
 
 

@@ -166,13 +166,16 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
 
     bases = {(x, y): hom_basis(d, x, y).basis for x, y in product(names, repeat=2)}
     pairs = [pair for pair, basis in bases.items() if basis]
+    spans = {}  # (src, dst) -> the span of (src -> dst), built once
 
     def escapes():
         for (x, x2), (y, y2) in product(pairs, repeat=2):
             src, dst = t.table[(x, y)], t.table[(x2, y2)]
-            span = VectorSpan(d.field, d.dim(dst) * d.dim(src))
-            for m in bases[(src, dst)]:
-                span.add(vec_matrix(m))
+            span = spans.get((src, dst))
+            if span is None:
+                span = spans[(src, dst)] = VectorSpan(d.field, d.dim(dst) * d.dim(src))
+                for m in bases[(src, dst)]:
+                    span.add(vec_matrix(m))
             moved = (
                 t.pair_isos[(x2, y2)] * kron(a, b) * t.inverses[(x, y)]
                 for a in bases[(x, x2)]

@@ -2,7 +2,10 @@
 
 import pathlib
 
+from hypothesis import strategies as st
+
 from coendcalc import (
+    QQ,
     ComodulePresentation,
     DiagramPresentation,
     Matrix,
@@ -167,3 +170,35 @@ def shipped_samples(field):
         (path.name, parse_document(path.read_text(), field_override=field))
         for path in sorted(samples.glob("*.json"))
     ]
+
+
+def small_diagrams(field):
+    """One to three objects of dim 0 to 2, and up to two random span
+    matrices on each ordered pair."""
+    if field is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+
+    def spans(dims):
+        pairs = [(x, y) for x in range(len(dims)) for y in range(len(dims))]
+        mats = [
+            st.lists(
+                st.lists(scalar, min_size=dims[x] * dims[y], max_size=dims[x] * dims[y]),
+                max_size=2,
+            )
+            for x, y in pairs
+        ]
+        return st.tuples(st.just(dims), st.just(pairs), st.tuples(*mats))
+
+    def build(case):
+        dims, pairs, mats = case
+        names = [f"O{i}" for i in range(len(dims))]
+        hom_spans = {
+            (names[x], names[y]): [Matrix(field, dims[y], dims[x], e) for e in entries]
+            for (x, y), entries in zip(pairs, mats)
+            if entries
+        }
+        return DiagramPresentation(field, list(zip(names, dims)), hom_spans)
+
+    return st.lists(st.integers(0, 2), min_size=1, max_size=3).flatmap(spans).map(build)

@@ -284,6 +284,45 @@ def oracle_relation_space(diagram):
     return relations
 
 
+def oracle_end_basis(diagram):
+    """The commuting tuples of ``compute_end``, solved from A*T_X = T_Y*A.
+
+    The unknowns are the library's block coordinates: coordinate
+    i*dim + j of the block of X is entry (j, i) of T_X.  Column k of the
+    system holds the entries of A*T_X - T_Y*A, multiplied out with
+    oracle_matmul for every input span matrix A: X -> Y, at the tuple that
+    is one at coordinate k and zero elsewhere; the basis is oracle_kernel's,
+    one vector per free column.
+    """
+    from coendcalc import Matrix
+
+    field, names = diagram.field, diagram.names()
+    unknowns = [
+        (name, i, j) for name in names for i in range(diagram.dim(name)) for j in range(diagram.dim(name))
+    ]
+    columns = []
+    for of, i, j in unknowns:
+        tup = {}
+        for name in names:
+            dim = diagram.dim(name)
+            tup[name] = Matrix(field, dim, dim, [
+                field.one if (name, r, c) == (of, j, i) else field.zero
+                for r in range(dim)
+                for c in range(dim)
+            ])
+        col = []
+        for x in names:
+            for y in names:
+                for a in diagram.span(x, y):
+                    left = oracle_matmul(field, a, tup[x])
+                    right = oracle_matmul(field, tup[y], a)
+                    col += [field.sub(p, q) for p, q in zip(left, right)]
+        columns.append(col)
+    rows = len(columns[0]) if columns else 0
+    system = Matrix(field, rows, len(unknowns), [col[r] for r in range(rows) for col in columns])
+    return oracle_kernel(field, system)
+
+
 def oracle_comodule_hom_span(c, m, n):
     """The comodule morphism basis of ``comodule_hom_span``, built with products.
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coendcalc import (
     GF,
@@ -41,6 +40,7 @@ from fixtures import (
     isolated_points,
     regular_comodule_setup,
     shipped_samples,
+    small_diagrams,
     two_object_unsaturated,
 )
 from oracles import (
@@ -116,38 +116,6 @@ def test_unsaturated_coend_equals_saturated_coend(field):
     assert before.split.projection == after.split.projection
     assert before.coalgebra.delta == after.coalgebra.delta
     assert before.coalgebra.epsilon == after.coalgebra.epsilon
-
-
-def small_diagrams(field):
-    """One to three objects of dim 0 to 2, and up to two random span
-    matrices on each ordered pair."""
-    if field is QQ:
-        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-    else:
-        scalar = st.integers(min_value=0, max_value=field.p - 1)
-
-    def spans(dims):
-        pairs = [(x, y) for x in range(len(dims)) for y in range(len(dims))]
-        mats = [
-            st.lists(
-                st.lists(scalar, min_size=dims[x] * dims[y], max_size=dims[x] * dims[y]),
-                max_size=2,
-            )
-            for x, y in pairs
-        ]
-        return st.tuples(st.just(dims), st.just(pairs), st.tuples(*mats))
-
-    def build(case):
-        dims, pairs, mats = case
-        names = [f"O{i}" for i in range(len(dims))]
-        hom_spans = {
-            (names[x], names[y]): [Matrix(field, dims[y], dims[x], e) for e in entries]
-            for (x, y), entries in zip(pairs, mats)
-            if entries
-        }
-        return DiagramPresentation(field, list(zip(names, dims)), hom_spans)
-
-    return st.lists(st.integers(0, 2), min_size=1, max_size=3).flatmap(spans).map(build)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
@@ -261,13 +229,13 @@ def test_coalgebra_well_definedness_guard():
     bogus = CoendStructure(
         diagram=c.diagram,
         layout=c.layout,
-        relation_basis=c.relation_basis,
         split=c.split,
         structure_maps={"X": Matrix(QQ, 1, 4, [1, 1, 1, 1])},
     )
     with pytest.raises(WellDefinednessError) as err:
         coalgebra_structure(bogus)
-    assert err.value.witness is not None
+    # relation 1 is J's rref row at pivot column 1, the generator (0, 1)
+    assert err.value.witness == "relation 1"
 
 
 def test_cached_coalgebra_raises_on_every_access():
@@ -278,7 +246,6 @@ def test_cached_coalgebra_raises_on_every_access():
     bogus = CoendStructure(
         diagram=c.diagram,
         layout=c.layout,
-        relation_basis=c.relation_basis,
         split=c.split,
         structure_maps={"X": Matrix(QQ, 1, 4, [1, 1, 1, 1])},
     )

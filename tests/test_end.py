@@ -2,8 +2,10 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from coendcalc import (
+    GF,
     QQ,
     AlgebraData,
     Matrix,
@@ -15,8 +17,12 @@ from coendcalc import (
     duality_isomorphism,
     end_algebra,
     grouplike_coalgebra,
+    relation_space,
+    saturate_spans,
     verify_algebra,
 )
+from coendcalc.end import EndStructure, pairing_functional
+from coendcalc.errors import InternalConsistencyError
 from coendcalc.linalg import VectorSpan, rank, vec_matrix
 
 from fixtures import (
@@ -24,7 +30,9 @@ from fixtures import (
     comatrix_diagram,
     connected_pair,
     full_matrix_diagram,
+    small_diagrams,
 )
+from oracles import oracle_end_basis, oracle_rank
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,6 +54,29 @@ def test_end_constraint_forces_equal_components():
     assert e.dim == 1
     vec = e.basis[0]
     assert vec[0] == vec[1] != 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_end_basis_matches_the_commuting_system_oracle(field):
+    for name, d in all_diagram_fixtures(field):
+        assert list(compute_end(d).basis) == oracle_end_basis(d), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_end_is_the_annihilator_of_the_relations(field):
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(small_diagrams(field))
+    def check(unclosed):
+        for d in (unclosed, saturate_spans(unclosed)):
+            e, rows = compute_end(d), relation_space(d)
+            for b in range(e.dim):
+                functional = pairing_functional(e, b)
+                for row in rows:
+                    assert field.dot([functional[k] for k in row], list(row.values())) == 0
+            dense = [[row.get(k, field.zero) for k in range(e.layout.total)] for row in rows]
+            assert e.dim + oracle_rank(field, dense) == e.layout.total
+
+    check()
 
 
 def test_commuting_condition_holds_on_basis():
@@ -94,6 +125,16 @@ def test_end_algebra_one_dimensional():
         assert alg.dim == 1
         assert alg.product == Matrix.from_rows(QQ, [[1]])
         assert alg.unit == (Fraction(1),)
+
+
+def test_end_algebra_rejects_a_basis_not_closed_under_composition():
+    # the swap [[0, 1], [1, 0]] squares to the identity, which it does not span
+    d = comatrix_diagram(QQ, 2)
+    swap = vec_matrix(Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+    e = compute_end(d)
+    bogus = EndStructure(diagram=d, layout=e.layout, basis=(swap,), free=(2,))
+    with pytest.raises(InternalConsistencyError, match="escaped the end"):
+        end_algebra(bogus)
 
 
 def test_identity_tuple_is_unit():

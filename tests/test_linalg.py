@@ -185,11 +185,15 @@ def test_quotient_split_properties(field):
         assert [[proj[a, fc] for fc in split.free] for a in range(proj.rows)] == (
             Matrix.identity(field, len(split.free)).row_list()
         )
-        # the reduced basis of J is what rref gives, and the dims add up
+        # the reduced basis of J derived from P and ``free`` is what rref
+        # gives, and the dims add up
         reduced, _, rk = rref(Matrix(field, len(dense), n, [x for v in dense for x in v]))
-        assert list(split.subspace_basis) == [reduced.row(i) for i in range(rk)]
+        sub = split.subspace_map()
+        rows = [tuple(sub.column(k).get(i, field.zero) for i in range(n)) for k in range(sub.cols)]
+        assert rows == [reduced.row(i) for i in range(rk)]
+        assert all(all(sub.column(k).values()) for k in range(sub.cols))  # stores no zero
         assert split.quotient_dim == n - rk
-        assert_canonical(field, [*proj.entries, *(x for v in split.subspace_basis for x in v)])
+        assert_canonical(field, [*proj.entries, *(x for v in rows for x in v)])
 
     check()
 
