@@ -288,14 +288,15 @@ def main(argv=None) -> int:
         description="Exact coend/end computation on finite matrix diagrams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, needs) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("input", help="path to the JSON input document")
-        p.add_argument(
-            "--saturate",
-            action="store_true",
-            help="close the hom spans under composition before computing",
-        )
+        if needs == "diagram":
+            p.add_argument(
+                "--saturate",
+                action="store_true",
+                help="close the hom spans under composition before computing",
+            )
         p.add_argument("--report", metavar="PATH", help="write a JSON report here")
         p.add_argument(
             "--field",
@@ -309,7 +310,9 @@ def main(argv=None) -> int:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
         doc = parse_document(text, field_override=override)
-        report, code = run_command(args.command, doc, saturate=args.saturate)
+        report, code = run_command(
+            args.command, doc, saturate=getattr(args, "saturate", False)
+        )
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
         return EXIT_INPUT_ERROR

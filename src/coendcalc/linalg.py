@@ -56,6 +56,20 @@ Products and Kronecker products skip the multiplication by a weight that
 is the field's ``one`` object itself, as in identities and swaps; an
 equal but distinct one is multiplied, with the same result.  ``Matrix``
 remains the one storage of structure constants and of every report.
+
+``associativity_sides`` builds m(m (x) 1) and m(1 (x) m) for a product
+m: V (x) V -> V (dim V = n) straight from m's columns, with no identity
+or Kronecker map.  It reads each column of m once and records, for each
+single-term column, its row and its weight, flagged when it equals one
+(stored as the field's ``one`` itself; equality, not identity, decides).
+Column (a, b, c) of m(m (x) 1) is m applied to column ab of m with each
+row r sent to r*n + c; column (a, b, c) of m(1 (x) m) is m applied to
+column bc with r sent to a*n + r.  When column ab (or bc) is the single
+term w at r, that is column r*n + c (or a*n + r) of m scaled by w: one
+``mul`` of two single-term weights, none when either is flagged as one.
+An empty column gives an empty one; a column of several terms gives one
+``lincomb``, the sum a product's column would give.  The columns stay
+lazy and equal the composites' dicts, so every witness is unchanged.
 """
 
 from __future__ import annotations
@@ -451,9 +465,36 @@ class SparseMap:
         return SparseMap(f, self.rows * rb, self.cols * cb, column)
 
     def associativity_sides(self) -> tuple:
-        """Both sides m(m (x) 1) and m(1 (x) m) of associativity of m: V (x) V -> V."""
-        one = SparseMap.identity(self.field, self.rows)
-        return self @ self.kron(one), self @ one.kron(self)
+        """Both sides m(m (x) 1) and m(1 (x) m) of associativity of m: V (x) V -> V,
+        read off m's own columns (see the module docstring)."""
+        f, n = self.field, self.rows
+        if self.cols != n * n:
+            raise ShapeError(f"a product on k^{n} needs {n * n} columns, got {self.cols}")
+        nn, one, mul, lincomb = n * n, f.one, f.mul, f.lincomb
+        cols = [self.column(k) for k in range(nn)]
+        # the row and weight of each single-term column (row None otherwise);
+        # a weight equal to one is flagged by storing the field's one itself
+        rows, weights = [None] * nn, [None] * nn
+        for k, c in enumerate(cols):
+            if len(c) == 1:
+                (rows[k], w), = c.items()
+                weights[k] = one if w == one else w
+
+        def column(k, stride, shift):  # m at column k of m, row r sent to r*stride + shift
+            r, c = rows[k], cols[k]
+            if r is None:  # no term, or a sum of several
+                return lincomb((w, cols[r * stride + shift]) for r, w in c.items()) if c else c
+            w, at = weights[k], r * stride + shift
+            r = rows[at]
+            if r is not None:
+                x = weights[at]
+                return {r: x if w is one else w if x is one else mul(w, x)}
+            return cols[at] if w is one else {r: mul(w, x) for r, x in cols[at].items()}
+
+        return (
+            SparseMap(f, n, nn * n, lambda j: column(j // n, n, j % n)),
+            SparseMap(f, n, nn * n, lambda j: column(j % nn, 1, j // nn * n)),
+        )
 
     def first_difference(self, other: "SparseMap"):
         """The first (column, row) where the two maps differ, or None."""

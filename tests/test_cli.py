@@ -175,6 +175,17 @@ def test_unsaturated_run_vs_saturate_flag(tmp_path):
     assert report2["saturate"] is True
 
 
+def test_roundtrip_rejects_saturate(tmp_path, capsys):
+    # saturation acts on a diagram; a coalgebra document has none to close
+    path = write(tmp_path, "rt.json", ROUNDTRIP_DOC)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["roundtrip", path, "--saturate", "--report", str(report)])
+    assert exit_info.value.code == 2
+    assert "--saturate" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_field_override(tmp_path, capsys):
     path = write(tmp_path, "z2.json", Z2_DOC)
     code = main(["coend", path, "--field", "prime:5"])

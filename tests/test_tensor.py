@@ -87,15 +87,22 @@ def test_each_comparison_map_is_inverted_once(monkeypatch):
 def test_corrupted_comparison_map_breaks_coherence():
     # on Z/3 the scaling f(g1,g1) = 2 fails the cocycle condition at
     # (g1, g1, g2); note that on Z/2 the same corruption would be a valid
-    # 2-cocycle twist and nothing would break
-    d, t = grading_skeleton(QQ, 3)
-    isos = dict(t.pair_isos)
-    isos[("g1", "g1")] = Matrix.from_rows(QQ, [[2]])
-    report = validate_tensor(d, TensorData("g0", dict(t.table), isos))
-    assert not report.passed
-    bad = report.failures()
-    assert any("coherence" in c.name for c in bad)
-    assert all(c.witness for c in bad)
+    # 2-cocycle twist and nothing would break.  Every other comparison
+    # scalar is a freshly parsed one, equal to the field's one but not the
+    # same object, as in a document read from JSON: at the failing triple
+    # both sides multiply by such a unit, which the check skips.
+    for pair, scalar, witness in (
+        (("g1", "g1"), 2, "triple (g1, g1, g2)"),
+        (("g1", "g2"), 3, "triple (g1, g1, g1)"),
+    ):
+        d, t = grading_skeleton(QQ, 3)
+        isos = {p: Matrix(QQ, 1, 1, ["1"]) for p in t.pair_isos}
+        isos[pair] = Matrix(QQ, 1, 1, [scalar])
+        assert isos[("g2", "g2")][0, 0] is not QQ.one
+        broken = TensorData("g0", dict(t.table), isos)
+        witnesses = {c.name: c.witness for c in validate_tensor(d, broken).failures()}
+        assert witnesses == {"coherence": witness}
+        assert "triple (%s, %s, %s)" % oracle_coherence(d, broken) == witness
 
 
 def cocycle_tensor(field, k, scale, twist):
