@@ -24,17 +24,14 @@ from .coend import (
 from .diagram import (
     DiagramPresentation,
     HomBasis,
-    devectorize_hom,
     hom_basis,
     saturate_spans,
     validate_diagram,
-    vectorize_hom,
 )
 from .end import (
     AlgebraData,
     EndStructure,
     compute_end,
-    dual_algebra,
     duality_isomorphism,
     end_algebra,
     verify_algebra,
@@ -70,7 +67,6 @@ from .tensor import (
     BialgebraData,
     TensorData,
     coend_multiplication,
-    conjugation_coalgebra_check,
     unit_element,
     validate_tensor,
     verify_bialgebra,

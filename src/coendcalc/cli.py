@@ -18,7 +18,7 @@ from .diagram import saturate_spans, validate_diagram
 from .end import AlgebraData, compute_end, duality_isomorphism, verify_algebra
 from .errors import CoendcalcError, InternalConsistencyError, WellDefinednessError
 from .fields import Field, PrimeField, QQ
-from .inputdoc import InputDocument, parse_document
+from .inputdoc import InputDocument, parse_document, render_matrix
 from .reports import CheckReport
 from .tensor import BialgebraData, coend_multiplication, unit_element, validate_tensor, verify_bialgebra
 from .reconstruct import roundtrip_verify
@@ -59,10 +59,6 @@ def _coalgebra_payload(field, labels, coalg):
         {"on": labels[a], "value": field.render(coalg.epsilon[0, a])} for a in range(n)
     ]
     return delta, epsilon
-
-
-def _matrix_payload(field, m):
-    return [[field.render(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _diagram_preamble(doc: InputDocument, saturate: bool):
@@ -119,7 +115,7 @@ def cmd_coend(doc: InputDocument, saturate: bool):
             checks.ok("coaction axioms for every object")
             checks.extend(coaction_naturality(coend, coactions))
             payload["coactions"] = [
-                {"object": name, "matrix": _matrix_payload(field, coactions[name].matrix)}
+                {"object": name, "matrix": render_matrix(field, coactions[name].matrix)}
                 for name, _ in diagram.objects
             ]
         except InternalConsistencyError as err:
@@ -130,10 +126,10 @@ def cmd_coend(doc: InputDocument, saturate: bool):
 def cmd_end(doc: InputDocument, saturate: bool):
     diagram, checks = _diagram_preamble(doc, saturate)
     field = diagram.field
-    end = compute_end(diagram)
+    coend = compute_coend(diagram)
+    end = compute_end(coend)
     algebra = end.algebra
     checks.extend(verify_algebra(algebra), prefix="end algebra: ")
-    coend = compute_coend(diagram)
     checks.add(
         "dim end == dim coend",
         end.dim == coend.dim,
@@ -145,7 +141,7 @@ def cmd_end(doc: InputDocument, saturate: bool):
     for b in range(end.dim):
         blocks = end.tuple_blocks(b)
         basis_payload.append(
-            {name: _matrix_payload(field, blocks[name]) for name in end.layout.names}
+            {name: render_matrix(field, blocks[name]) for name in end.layout.names}
         )
     payload = {
         "dim": end.dim,
@@ -165,7 +161,7 @@ def cmd_end(doc: InputDocument, saturate: bool):
             ],
             "unit": [field.render(x) for x in algebra.unit],
         },
-        "duality_map": _matrix_payload(field, mapping),
+        "duality_map": render_matrix(field, mapping),
     }
     return payload, checks
 
@@ -217,7 +213,7 @@ def cmd_roundtrip(doc: InputDocument, saturate: bool):
         "image_dim": report.image_dim,
     }
     if report.mapping is not None:
-        payload["canonical_map"] = _matrix_payload(field, report.mapping)
+        payload["canonical_map"] = render_matrix(field, report.mapping)
     return payload, checks
 
 
@@ -319,6 +315,10 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as err:
         print(f"error: {args.input} is not valid UTF-8 (byte {err.start})", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (InternalConsistencyError, WellDefinednessError) as err:
+        # a broken invariant; a failure the input can cause is a check
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except CoendcalcError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -5,7 +5,11 @@ coordinates of F(X).  The relation space J is spanned, for every span
 matrix A: X -> Y and every elementary T: F(Y) -> F(X), by the vector
 carrying the coordinates of T*A in block X minus those of A*T in block Y.
 The coend is the quotient split of V by J; the structure map of each
-object is the corresponding block of the projection.
+object is the corresponding block of the projection.  A map on V that
+vanishes on J descends to the quotient, where it is read at the free
+columns: ``CoendStructure.descend`` checks the first against J's rref
+rows and does the second, for the coalgebra here, the canonical map of a
+round trip and the pairing of the end with the coend.
 """
 
 from __future__ import annotations
@@ -39,9 +43,6 @@ class BlockLayout:
             total += self.sizes[name]
         self.total = total
         self.transposed = tuple(transposed)
-
-    def coordinate(self, name: str, flat: int) -> int:
-        return self.offsets[name] + flat
 
     def locate(self, coordinate: int):
         """Return (object name, flat index within its block)."""
@@ -121,9 +122,27 @@ class CoendStructure:
         """The map whose column k is the rref row of J at its k-th pivot column."""
         return self.split.subspace_map()
 
-    def image_of(self, name: str, flat: int) -> tuple:
-        """Coend coordinates of the generator with flat index in block name."""
-        return self.structure_maps[name].col(flat)
+    def descend(self, *named_maps) -> list:
+        """The quotient maps of ``(name, m)`` pairs, each m a SparseMap on V.
+
+        A map that vanishes on J factors through P as m read at the free
+        columns, which the section picks.  Raises WellDefinednessError at
+        the first rref row of J that some map, in the order given, does not
+        kill."""
+        rel, field, free = self.relation_map(), self.diagram.field, self.split.free
+        composites = [(name, m @ rel) for name, m in named_maps]
+        for k in range(rel.cols):
+            for name, m in composites:
+                if m.column(k):
+                    raise WellDefinednessError(
+                        f"{name} does not vanish on the relation space", witness=f"relation {k}"
+                    )
+        out = []
+        for _, m in named_maps:
+            cols = [m.column(fc) for fc in free]
+            entries = [col.get(r, field.zero) for r in range(m.rows) for col in cols]
+            out.append(Matrix._trusted(field, m.rows, len(free), entries))
+        return out
 
     @cached_property
     def coalgebra(self) -> CoalgebraData:
@@ -163,15 +182,13 @@ class CoalgebraData:
         return self.delta.field
 
 
-def generator_coalgebra_maps(c: CoendStructure):
-    """The generator-level comultiplication and counit, column by column.
-
-    Columns are indexed by the generators of every block; the coproduct of
-    generator (i, j) of block X is the sum over k of the tensor of the
-    images of (i, k) and (k, j), and its counit is the Kronecker delta.
-    """
+def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
+    """Structure constants of the coend's coalgebra, descended from the
+    generators: the coproduct of generator (i, j) of block X is the sum
+    over k of the tensor of the images of (i, k) and (k, j), and its
+    counit is the Kronecker delta."""
     field, n = c.diagram.field, c.dim
-    delta_cols, eps_row = [], []
+    delta_cols, eps_cols = [], []
     for name in c.layout.names:
         d, imap = c.diagram.dim(name), c.structure_maps[name]
         for i in range(d):
@@ -183,33 +200,12 @@ def generator_coalgebra_maps(c: CoendStructure):
                         if val:
                             acc[idx] = field.add(acc[idx], val)
                 delta_cols.append(acc)
-                eps_row.append(field.one if i == j else field.zero)
-    return delta_cols, eps_row
-
-
-def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
-    """Structure constants of the coend's coalgebra.
-
-    The candidate maps are assembled from the generator-level formulas and
-    verified to annihilate every relation basis vector before being read
-    off on the free columns, which the section picks.
-    """
-    field, n, free = c.diagram.field, c.dim, c.split.free
-    delta_cols, eps_row = generator_coalgebra_maps(c)
-    rel = c.relation_map()
-    maps = (
-        ("comultiplication", SparseMap.from_columns(field, n * n, delta_cols) @ rel),
-        ("counit", SparseMap.from_columns(field, 1, [(e,) for e in eps_row]) @ rel),
+                eps_cols.append((field.one if i == j else field.zero,))
+    delta, epsilon = c.descend(
+        ("comultiplication", SparseMap.from_columns(field, n * n, delta_cols)),
+        ("counit", SparseMap.from_columns(field, 1, eps_cols)),
     )
-    failure = next(((what, k) for k in range(rel.cols) for what, m in maps if m.column(k)), None)
-    if failure is not None:
-        what, k = failure
-        raise WellDefinednessError(
-            f"{what} does not vanish on the relation space", witness=f"relation {k}"
-        )
-    delta = Matrix._trusted(field, n, n * n, [x for a in free for x in delta_cols[a]])
-    epsilon = Matrix._trusted(field, 1, n, [eps_row[a] for a in free])
-    return CoalgebraData(dim=n, delta=delta.transpose(), epsilon=epsilon)
+    return CoalgebraData(dim=n, delta=delta, epsilon=epsilon)
 
 
 def _triple(key: int, n: int) -> tuple:
@@ -359,34 +355,3 @@ def grouplike_coalgebra(field: Field, count: int) -> CoalgebraData:
         delta[(a * n + a) * n + a] = one
     eps = [one] * n
     return CoalgebraData(dim=n, delta=Matrix(field, n * n, n, delta), epsilon=Matrix(field, 1, n, eps))
-
-
-# -- realization comparison --------------------------------------------------
-
-
-def permute_objects(d: DiagramPresentation, order) -> DiagramPresentation:
-    """The same diagram with objects listed in a new order."""
-    names = d.names()
-    new_names = [names[i] for i in order]
-    if sorted(new_names) != sorted(names):
-        raise ValueError("order must be a permutation of the object list")
-    objects = [(name, d.dim(name)) for name in new_names]
-    return DiagramPresentation(d.field, objects, dict(d.hom_spans))
-
-
-def induced_quotient_map(src: CoendStructure, dst: CoendStructure) -> Matrix:
-    """The linear map between two coends of block-identical diagrams.
-
-    Both diagrams must have the same objects (possibly reordered) and the
-    same spans; the block permutation of V then descends to the quotients.
-    """
-    if sorted(src.diagram.objects) != sorted(dst.diagram.objects):
-        raise ValueError("coends do not share an object set")
-    # route each free generator through the block permutation
-    cols = [
-        dst.split.projection.col(dst.layout.coordinate(*src.layout.locate(fc)))
-        for fc in src.split.free
-    ]
-    if not cols:
-        return Matrix(src.diagram.field, dst.dim, 0, [])
-    return Matrix.from_cols(src.diagram.field, cols)

@@ -111,24 +111,6 @@ def _span(field: Field, dim: int, mats) -> VectorSpan:
     return span
 
 
-def vectorize_hom(d: DiagramPresentation, name: str, t: Matrix):
-    """Coordinates of an endomorphism matrix of F(name) in the C_ij basis.
-
-    Index (i, j), flattened as i*dim + j, carries the coefficient of the
-    unit sending basis vector i to basis vector j; as a matrix that unit
-    has its single 1 in row j, column i.
-    """
-    dim = d.dim(name)
-    if (t.rows, t.cols) != (dim, dim):
-        raise ShapeError(f"expected a {dim}x{dim} matrix for object {name!r}")
-    return vec_matrix(t)
-
-def devectorize_hom(d: DiagramPresentation, name: str, v) -> Matrix:
-    """Exact inverse of :func:`vectorize_hom`."""
-    dim = d.dim(name)
-    return unvec_matrix(d.field, v, dim, dim)
-
-
 def validate_diagram(d: DiagramPresentation) -> CheckReport:
     """Check identity containment and composition closure of the spans.
 

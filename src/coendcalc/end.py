@@ -8,8 +8,10 @@ the coend's ambient space V, and the trace pairing
 tuple with that of (j, i) of a vector of V, ``BlockLayout.transposed``.
 For a span matrix A: X -> Y and an elementary T: F(Y) -> F(X) the pairing
 of t with the relation r(A, T) is tr(T (A t_X - t_Y A)), so the end is
-exactly J^perp (Joyal-Street): the kernel of the relation rows of
-``relation_space`` with each block's coordinates transposed.
+exactly J^perp (Joyal-Street).  It is computed from the coend's split: the
+restriction kernel of J's rref rows, ``CoendStructure.relation_map``, with
+each block's coordinates transposed.  The kernel depends only on the
+subspace, so these few reduced rows give the same basis as every relation.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coend import BlockLayout, CoalgebraData, CoendStructure, relation_space
+from .coend import BlockLayout, CoendStructure
 from .diagram import DiagramPresentation
-from .errors import InternalConsistencyError, WellDefinednessError
+from .errors import InternalConsistencyError
 from .linalg import Matrix, SparseMap, kernel_basis, rank, unvec_matrix, vec_matrix
 from .reports import CheckReport
 
@@ -67,16 +69,15 @@ class EndStructure:
         return tuple(out)
 
 
-def compute_end(d: DiagramPresentation) -> EndStructure:
-    """The tuples that pair to zero with every relation under the trace
-    pairing: one restriction kernel of the ``relation_space`` rows, each
-    block's coordinates transposed (see the module docstring)."""
-    layout = BlockLayout(d)
-    to = layout.transposed
-    rows = ({to[k]: v for k, v in row.items()} for row in relation_space(d))
-    basis = tuple(kernel_basis(d.field, layout.total, rows))
+def compute_end(c: CoendStructure) -> EndStructure:
+    """The tuples that pair to zero with J under the trace pairing: one
+    restriction kernel of J's rref rows, each block's coordinates
+    transposed (see the module docstring)."""
+    rel, to = c.relation_map(), c.layout.transposed
+    rows = ({to[k]: v for k, v in rel.column(j).items()} for j in range(rel.cols))
+    basis = tuple(kernel_basis(c.diagram.field, c.ambient_dim, rows))
     free = tuple(max(i for i, x in enumerate(v) if x) for v in basis)
-    return EndStructure(diagram=d, layout=layout, basis=basis, free=free)
+    return EndStructure(diagram=c.diagram, layout=c.layout, basis=basis, free=free)
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,6 @@ def end_algebra(e: EndStructure) -> AlgebraData:
     return AlgebraData(dim=n, product=product, unit=coords[-1])
 
 
-def dual_algebra(c: CoalgebraData) -> AlgebraData:
-    """Convolution algebra on the dual basis: (a.b)(v) = (a (x) b)(delta v)."""
-    return AlgebraData(
-        dim=c.dim,
-        product=c.delta.transpose(),
-        unit=tuple(c.epsilon.row(0)),
-    )
-
-
 def pairing_functional(e: EndStructure, b: int) -> tuple:
     """The functional on V induced by basis tuple b via the trace pairing.
 
@@ -179,17 +171,9 @@ def duality_isomorphism(e: EndStructure, c: CoendStructure):
 
     functionals = [pairing_functional(e, b) for b in range(e.dim)]
     rows = Matrix._trusted(field, e.dim, c.ambient_dim, [x for lam in functionals for x in lam])
-    pairings = SparseMap.from_matrix(rows) @ c.relation_map()
-    failure = min(((b, k) for k in range(pairings.cols) for b in pairings.column(k)), default=None)
-    if failure is not None:
-        raise WellDefinednessError(
-            "pairing functional does not vanish on the relation space",
-            witness="tuple {}, relation {}".format(*failure),
-        )
+    mapping = c.descend(("pairing functional", SparseMap.from_matrix(rows)))[0].transpose()
     report.ok("well-defined on relations")
 
-    cols = [lam[fc] for lam in functionals for fc in c.split.free]
-    mapping = Matrix._trusted(field, e.dim, n, cols).transpose()
     bijective = e.dim == n and rank(mapping) == n
     report.add("bijective", bijective, None if bijective else f"rank {rank(mapping)} of {n}")
 

@@ -47,7 +47,8 @@ def _is_dim(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _render_matrix(field: Field, m: Matrix) -> list:
+def render_matrix(field: Field, m: Matrix) -> list:
+    """The matrix as rows of rendered scalars, as documents and reports hold it."""
     return [[field.render(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
@@ -203,10 +204,10 @@ def render_document(doc: InputDocument) -> str:
     if doc.coalgebra is not None:
         data["coalgebra"] = {
             "dim": doc.coalgebra.dim,
-            "delta": _render_matrix(field, doc.coalgebra.delta),
-            "epsilon": _render_matrix(field, doc.coalgebra.epsilon)[0],
+            "delta": render_matrix(field, doc.coalgebra.delta),
+            "epsilon": render_matrix(field, doc.coalgebra.epsilon)[0],
             "comodules": [
-                {"dim": mod.dim, "rho": _render_matrix(field, mod.rho)}
+                {"dim": mod.dim, "rho": render_matrix(field, mod.rho)}
                 for mod in doc.comodules or []
             ],
         }
@@ -222,7 +223,7 @@ def render_document(doc: InputDocument) -> str:
                 {
                     "src": src,
                     "dst": dst,
-                    "span": [_render_matrix(field, m) for m in mats],
+                    "span": [render_matrix(field, m) for m in mats],
                 }
             )
         data["homs"] = homs
@@ -233,7 +234,7 @@ def render_document(doc: InputDocument) -> str:
                     f"{x},{y}": z for (x, y), z in sorted(doc.tensor.table.items())
                 },
                 "f2": {
-                    f"{x},{y}": _render_matrix(field, iso)
+                    f"{x},{y}": render_matrix(field, iso)
                     for (x, y), iso in sorted(doc.tensor.pair_isos.items())
                 },
             }

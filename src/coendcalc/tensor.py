@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .coend import (
-    CoalgebraData,
-    CoendStructure,
-    comatrix_coalgebra,
-    is_coalgebra_map,
-)
+from .coend import CoalgebraData, CoendStructure
 from .diagram import DiagramPresentation, hom_basis
 from .end import AlgebraData, verify_algebra
 from .errors import ShapeError
@@ -27,10 +22,8 @@ from .linalg import (
     Matrix,
     SparseMap,
     VectorSpan,
-    inverse,
     kron,
     left_inverse,
-    rank,
     unvec_matrix,
     vec_matrix,
 )
@@ -296,65 +289,3 @@ def verify_bialgebra(b: BialgebraData) -> CheckReport:
         None if eps_unit == field.one else f"got {field.render(eps_unit)}",
     )
     return report
-
-
-def conjugation_coalgebra_check(p: Matrix) -> CheckReport:
-    """Verify conjugation by an invertible matrix is a coalgebra map.
-
-    On the d x d matrix-coefficient coalgebra, T -> P T P^-1 must commute
-    with the coproduct and preserve the counit; the comparison is done on
-    structure constants.  Raises ShapeError when P is singular.
-    """
-    if p.rows != p.cols:
-        raise ShapeError("conjugator must be square")
-    field, d, p_inv = p.field, p.rows, inverse(p)
-    model = comatrix_coalgebra(field, d)
-    cols = [vec_matrix(p * _elementary(field, d, flat) * p_inv) for flat in range(d * d)]
-    phi = Matrix.from_cols(field, cols) if cols else Matrix(field, 0, 0, [])
-    report = is_coalgebra_map(model, model, phi)
-    report.add("bijective", d == 0 or rank(phi) == d * d)
-    return report
-
-
-# -- conjugated presentations (used to exercise invariance) ------------------
-
-
-def conjugate_diagram(d: DiagramPresentation, conjugators: dict) -> DiagramPresentation:
-    """Replace every span matrix A: X -> Y by P_Y A P_X^-1."""
-    inverses = {name: inverse(p) for name, p in conjugators.items()}
-    spans = {}
-    for (x, y), mats in d.hom_spans.items():
-        spans[(x, y)] = tuple(conjugators[y] * m * inverses[x] for m in mats)
-    return DiagramPresentation(d.field, d.objects, spans)
-
-
-def conjugate_tensor_data(
-    d: DiagramPresentation, t: TensorData, conjugators: dict
-) -> TensorData:
-    """Move the comparison maps along the same family of conjugators."""
-    isos = {}
-    for (x, y), iso in t.pair_isos.items():
-        target = t.table[(x, y)]
-        isos[(x, y)] = (
-            conjugators[target] * iso * inverse(kron(conjugators[x], conjugators[y]))
-        )
-    return TensorData(unit=t.unit, table=dict(t.table), pair_isos=isos)
-
-
-def conjugation_quotient_map(
-    src: CoendStructure, dst: CoendStructure, conjugators: dict
-) -> Matrix:
-    """The induced map of coends sending i_X(T) to i_X(P_X T P_X^-1)."""
-    field = src.diagram.field
-    inverses = {name: inverse(p) for name, p in conjugators.items()}
-    cols = []
-    for fc in src.split.free:
-        name, flat = src.layout.locate(fc)
-        gen = _elementary(field, src.diagram.dim(name), flat)
-        moved = vec_matrix(conjugators[name] * gen * inverses[name])
-        out = [field.zero] * dst.layout.total
-        out[dst.layout.offsets[name] : dst.layout.offsets[name] + len(moved)] = moved
-        cols.append(dst.split.projection.apply(out))
-    if not cols:
-        return Matrix(field, dst.dim, 0, [])
-    return Matrix.from_cols(field, cols)

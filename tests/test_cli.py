@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coendcalc import GF, InputFormatError
+from coendcalc import GF, InputFormatError, InternalConsistencyError, WellDefinednessError
 from coendcalc.cli import main, run_command
 from coendcalc.inputdoc import parse_document, render_document
 
@@ -235,6 +235,23 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError('boom')\n"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target, error", [
+    ("coendcalc.end.end_algebra", InternalConsistencyError("product tuple escaped the end")),
+    ("coendcalc.cli.duality_isomorphism", WellDefinednessError(
+        "pairing functional does not vanish on the relation space", witness="relation 0"
+    )),
+], ids=["InternalConsistencyError", "WellDefinednessError"])
+def test_broken_invariant_exits_3_with_one_line(target, error, tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(target, broken)
+    assert main(["end", write(tmp_path, "c.json", COMATRIX_DOC)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {error!r}\n"
 
 
 def test_validate_command(tmp_path, capsys):

@@ -10,10 +10,13 @@ from coendcalc import (
     CoalgebraData,
     DiagramPresentation,
     Matrix,
+    canonical_map,
     coalgebra_structure,
     comatrix_coalgebra,
     compute_coend,
+    compute_end,
     diagram_from_comodules,
+    duality_isomorphism,
     grouplike_coalgebra,
     induced_coaction,
     is_coalgebra_map,
@@ -22,13 +25,8 @@ from coendcalc import (
     validate_diagram,
     verify_coalgebra,
 )
-from coendcalc.coend import (
-    coaction_naturality,
-    induced_quotient_map,
-    permute_objects,
-    verify_coaction,
-)
-from coendcalc.diagram import hom_basis, vectorize_hom
+from coendcalc.coend import coaction_naturality, verify_coaction
+from coendcalc.diagram import hom_basis
 from coendcalc.linalg import kron_vec, rank
 
 from fixtures import (
@@ -37,11 +35,14 @@ from fixtures import (
     comatrix_diagram,
     connected_pair,
     full_matrix_diagram,
+    induced_quotient_map,
     isolated_points,
+    permute_objects,
     regular_comodule_setup,
     shipped_samples,
     small_diagrams,
     two_object_unsaturated,
+    vectorize_hom,
 )
 from oracles import (
     oracle_commutator_span_dim,
@@ -235,7 +236,55 @@ def test_coalgebra_well_definedness_guard():
     with pytest.raises(WellDefinednessError) as err:
         coalgebra_structure(bogus)
     # relation 1 is J's rref row at pivot column 1, the generator (0, 1)
+    assert str(err.value) == "comultiplication does not vanish on the relation space"
     assert err.value.witness == "relation 1"
+
+
+def test_canonical_map_descent_names_the_relation():
+    from coendcalc.errors import WellDefinednessError
+
+    # the fundamental comodule of the comatrix coalgebra sends generator
+    # (i, j) to C_ij, which the commutator relations of the full matrix
+    # span do not kill; relation 0 is J's rref row e_(0,0) - e_(1,1)
+    c = compute_coend(full_matrix_diagram(QQ, 2))
+    assert c.relation_map().column(0) == {0: 1, 3: -1}
+    coalg, (_, fundamental) = comatrix_with_two_comodules(QQ)
+    with pytest.raises(WellDefinednessError) as err:
+        canonical_map(c, coalg, [fundamental])
+    assert str(err.value) == "canonical map does not vanish on the relation space"
+    assert err.value.witness == "relation 0"
+
+
+def test_pairing_descent_names_the_relation():
+    from coendcalc.end import EndStructure
+    from coendcalc.errors import WellDefinednessError
+
+    # a non-scalar tuple does not commute with the full matrix span: its
+    # functional is one on generator (0, 1), relation 1, and zero before
+    c = compute_coend(full_matrix_diagram(QQ, 2))
+    e = compute_end(c)
+    bogus = EndStructure(diagram=c.diagram, layout=e.layout, basis=((0, 0, 1, 0),), free=(2,))
+    with pytest.raises(WellDefinednessError) as err:
+        duality_isomorphism(bogus, c)
+    assert str(err.value) == "pairing functional does not vanish on the relation space"
+    assert err.value.witness == "relation 1"
+
+
+def test_descend_reads_each_map_at_the_free_columns():
+    from coendcalc.linalg import SparseMap
+
+    c = compute_coend(connected_pair(QQ))
+    assert c.dim == 1 and c.ambient_dim == 2
+    # both generators are identified, so any map equal on them descends
+    m = SparseMap.from_columns(QQ, 2, [(1, 2), (1, 2)])
+    counit = SparseMap.from_columns(QQ, 1, [(5,), (5,)])
+    assert c.descend(("m", m), ("counit", counit)) == [
+        Matrix.from_rows(QQ, [[1], [2]]),
+        Matrix.from_rows(QQ, [[5]]),
+    ]
+    # a zero-dimensional quotient gives maps with no columns
+    empty = compute_coend(isolated_points(QQ, [0]))
+    assert empty.descend(("m", SparseMap.zeros(QQ, 2, 0))) == [Matrix(QQ, 2, 0, [])]
 
 
 def test_cached_coalgebra_raises_on_every_access():

@@ -13,14 +13,16 @@ from coendcalc import (
     saturate_spans,
     validate_diagram,
 )
-from coendcalc.diagram import devectorize_hom, hom_basis, vectorize_hom
+from coendcalc.diagram import hom_basis
 
 from fixtures import (
     comatrix_diagram,
     connected_pair,
+    devectorize_hom,
     nilpotent_diagram,
     two_object_unsaturated,
     unit_matrix,
+    vectorize_hom,
 )
 from oracles import oracle_saturated_span_dims
 

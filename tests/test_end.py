@@ -13,7 +13,6 @@ from coendcalc import (
     comatrix_coalgebra,
     compute_coend,
     compute_end,
-    dual_algebra,
     duality_isomorphism,
     end_algebra,
     grouplike_coalgebra,
@@ -29,6 +28,7 @@ from fixtures import (
     all_diagram_fixtures,
     comatrix_diagram,
     connected_pair,
+    dual_algebra,
     full_matrix_diagram,
     small_diagrams,
 )
@@ -38,11 +38,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_end_dim_identity_span():
-    assert compute_end(comatrix_diagram(QQ, 2)).dim == 4
+    assert compute_end(compute_coend(comatrix_diagram(QQ, 2))).dim == 4
 
 
 def test_end_dim_full_matrix_is_center():
-    e = compute_end(full_matrix_diagram(QQ, 2))
+    e = compute_end(compute_coend(full_matrix_diagram(QQ, 2)))
     assert e.dim == 1
     # the only commuting tuples are the scalars
     t = e.tuple_blocks(0)["X"]
@@ -50,7 +50,7 @@ def test_end_dim_full_matrix_is_center():
 
 
 def test_end_constraint_forces_equal_components():
-    e = compute_end(connected_pair(QQ))
+    e = compute_end(compute_coend(connected_pair(QQ)))
     assert e.dim == 1
     vec = e.basis[0]
     assert vec[0] == vec[1] != 0
@@ -59,7 +59,7 @@ def test_end_constraint_forces_equal_components():
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
 def test_end_basis_matches_the_commuting_system_oracle(field):
     for name, d in all_diagram_fixtures(field):
-        assert list(compute_end(d).basis) == oracle_end_basis(d), name
+        assert list(compute_end(compute_coend(d)).basis) == oracle_end_basis(d), name
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
@@ -68,7 +68,7 @@ def test_end_is_the_annihilator_of_the_relations(field):
     @given(small_diagrams(field))
     def check(unclosed):
         for d in (unclosed, saturate_spans(unclosed)):
-            e, rows = compute_end(d), relation_space(d)
+            e, rows = compute_end(compute_coend(d)), relation_space(d)
             for b in range(e.dim):
                 functional = pairing_functional(e, b)
                 for row in rows:
@@ -81,7 +81,7 @@ def test_end_is_the_annihilator_of_the_relations(field):
 
 def test_commuting_condition_holds_on_basis():
     for name, d in all_diagram_fixtures(QQ, max_comatrix_dim=3):
-        e = compute_end(d)
+        e = compute_end(compute_coend(d))
         for b in range(e.dim):
             blocks = e.tuple_blocks(b)
             for x in d.names():
@@ -92,7 +92,7 @@ def test_commuting_condition_holds_on_basis():
 
 def test_identity_tuple_in_span():
     for name, d in all_diagram_fixtures(QQ, max_comatrix_dim=3):
-        e = compute_end(d)
+        e = compute_end(compute_coend(d))
         if e.dim == 0:
             continue
         span = VectorSpan(QQ, e.layout.total)
@@ -102,7 +102,7 @@ def test_identity_tuple_in_span():
 
 
 def test_end_algebra_of_identity_span_is_matrix_algebra():
-    e = compute_end(comatrix_diagram(QQ, 2))
+    e = compute_end(compute_coend(comatrix_diagram(QQ, 2)))
     alg = end_algebra(e)
     assert verify_algebra(alg).passed
     # oracle: multiply the basis tuples directly and re-express by hand;
@@ -121,7 +121,7 @@ def test_end_algebra_of_identity_span_is_matrix_algebra():
 
 def test_end_algebra_one_dimensional():
     for d in (full_matrix_diagram(QQ, 2), connected_pair(QQ)):
-        alg = end_algebra(compute_end(d))
+        alg = end_algebra(compute_end(compute_coend(d)))
         assert alg.dim == 1
         assert alg.product == Matrix.from_rows(QQ, [[1]])
         assert alg.unit == (Fraction(1),)
@@ -131,7 +131,7 @@ def test_end_algebra_rejects_a_basis_not_closed_under_composition():
     # the swap [[0, 1], [1, 0]] squares to the identity, which it does not span
     d = comatrix_diagram(QQ, 2)
     swap = vec_matrix(Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
-    e = compute_end(d)
+    e = compute_end(compute_coend(d))
     bogus = EndStructure(diagram=d, layout=e.layout, basis=(swap,), free=(2,))
     with pytest.raises(InternalConsistencyError, match="escaped the end"):
         end_algebra(bogus)
@@ -139,7 +139,7 @@ def test_end_algebra_rejects_a_basis_not_closed_under_composition():
 
 def test_identity_tuple_is_unit():
     for name, d in all_diagram_fixtures(QQ, max_comatrix_dim=3):
-        alg = end_algebra(compute_end(d))
+        alg = end_algebra(compute_end(compute_coend(d)))
         report = verify_algebra(alg)
         assert report.passed, (name, str(report))
 
@@ -190,7 +190,8 @@ def test_verify_algebra_detects_broken_unit():
 
 def test_duality_identity_span():
     d = comatrix_diagram(QQ, 2)
-    e, c = compute_end(d), compute_coend(d)
+    c = compute_coend(d)
+    e = compute_end(c)
     mapping, report = duality_isomorphism(e, c)
     assert report.passed, str(report)
     assert rank(mapping) == 4
@@ -198,7 +199,8 @@ def test_duality_identity_span():
 
 def test_duality_full_matrix():
     d = full_matrix_diagram(QQ, 2)
-    mapping, report = duality_isomorphism(compute_end(d), compute_coend(d))
+    c = compute_coend(d)
+    mapping, report = duality_isomorphism(compute_end(c), c)
     assert report.passed
     assert (mapping.rows, mapping.cols) == (1, 1)
 
@@ -206,19 +208,21 @@ def test_duality_full_matrix():
 def test_duality_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
         duality_isomorphism(
-            compute_end(comatrix_diagram(QQ, 2)),
+            compute_end(compute_coend(comatrix_diagram(QQ, 2))),
             compute_coend(full_matrix_diagram(QQ, 2)),
         )
 
 
 def test_dim_end_equals_dim_coend_everywhere():
     for name, d in all_diagram_fixtures(QQ, max_comatrix_dim=3):
-        assert compute_end(d).dim == compute_coend(d).dim, name
+        c = compute_coend(d)
+        assert compute_end(c).dim == c.dim, name
 
 
 def test_structures_compute_their_coalgebra_and_algebra_once():
     for d in (comatrix_diagram(QQ, 2), connected_pair(QQ), full_matrix_diagram(QQ, 2)):
-        coend, end = compute_coend(d), compute_end(d)
+        coend = compute_coend(d)
+        end = compute_end(coend)
         coalg, alg = coend.coalgebra, end.algebra
         assert coend.coalgebra is coalg and end.algebra is alg
         assert coalg == coalgebra_structure(coend)
@@ -231,7 +235,7 @@ def test_end_command_builds_each_structure_once(monkeypatch):
     from coendcalc.cli import run_command
     from coendcalc.inputdoc import parse_document
 
-    calls = {"end_algebra": 0, "coalgebra_structure": 0}
+    calls = {"end_algebra": 0, "coalgebra_structure": 0, "relation_space": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -242,7 +246,10 @@ def test_end_command_builds_each_structure_once(monkeypatch):
     monkeypatch.setattr(end_module, "end_algebra", counted("end_algebra", end_module.end_algebra))
     monkeypatch.setattr(coend_module, "coalgebra_structure",
                         counted("coalgebra_structure", coend_module.coalgebra_structure))
+    monkeypatch.setattr(coend_module, "relation_space",
+                        counted("relation_space", coend_module.relation_space))
     text = (ROOT / "sample_inputs" / "comatrix2.json").read_text()
     report, code = run_command("end", parse_document(text))
     assert code == 0 and report["passed"]
-    assert calls == {"end_algebra": 1, "coalgebra_structure": 1}
+    # the end is read off the coend's split, so one relation system is built
+    assert calls == {"end_algebra": 1, "coalgebra_structure": 1, "relation_space": 1}

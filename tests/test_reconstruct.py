@@ -7,7 +7,6 @@ from coendcalc import (
     QQ,
     ComodulePresentation,
     Matrix,
-    ShapeError,
     canonical_map,
     coalgebra_structure,
     comodule_hom_span,
@@ -88,11 +87,20 @@ def test_hom_span_matches_product_oracle(field):
                 assert comodule_hom_span(coalg, m, n) == oracle_comodule_hom_span(coalg, m, n), name
 
 
-def test_hom_span_rejects_broken_comodule():
+def test_roundtrip_rejects_a_broken_comodule_before_any_hom_span(monkeypatch):
+    from coendcalc import reconstruct as reconstruct_module
+
+    def unreachable(*args):
+        raise AssertionError("hom span solved for an unchecked comodule")
+
+    monkeypatch.setattr(reconstruct_module, "comodule_hom_span", unreachable)
     coalg = grouplike_coalgebra(QQ, 2)
     broken = ComodulePresentation(dim=1, rho=Matrix.zeros(QQ, 2, 1))
-    with pytest.raises(ShapeError):
-        comodule_hom_span(coalg, broken, broken)
+    report = roundtrip_verify(coalg, [grouplike_comodule(QQ, 0, 2), broken])
+    assert report.status == "FAIL" and report.mapping is None
+    failures = report.checks.failures()
+    assert [c.name for c in failures] == ["comodule 1: coaction counit law"]
+    assert failures[0].witness == "column 0, coordinate 0"
 
 
 def test_diagram_from_two_grouplikes():
@@ -213,8 +221,8 @@ def test_roundtrip_carries_coactions_back():
 
 
 @pytest.mark.parametrize("setup, checks", [
-    (regular_comodule_setup, 3),  # the input, its one hom span, its induced coaction
-    (comatrix_with_two_comodules, 10),  # 2 inputs, 1 + 2 + 2 + 1 hom spans, 2 coactions
+    (regular_comodule_setup, 2),  # the input, its induced coaction
+    (comatrix_with_two_comodules, 4),  # 2 inputs, 2 induced coactions
 ])
 def test_roundtrip_checks_each_coaction_and_builds_one_coalgebra(setup, checks, monkeypatch):
     from coendcalc import coend as coend_module

@@ -18,8 +18,6 @@ from coendcalc import (
     comatrix_coalgebra,
     compute_coend,
     coend_multiplication,
-    conjugation_coalgebra_check,
-    dual_algebra,
     is_coalgebra_map,
     saturate_spans,
     unit_element,
@@ -27,12 +25,13 @@ from coendcalc import (
     verify_bialgebra,
 )
 from coendcalc.linalg import kron_vec, rank
-from coendcalc.tensor import (
-    conjugate_diagram,
-    conjugation_quotient_map,
-)
 
 from fixtures import (
+    conjugate_diagram,
+    conjugate_tensor_data,
+    conjugation_coalgebra_check,
+    conjugation_quotient_map,
+    dual_algebra,
     grading_skeleton,
     one_directional_z3,
     two_object_unsaturated,
@@ -341,7 +340,6 @@ def test_conjugated_diagram_has_same_coalgebra():
 
 
 def test_conjugated_tensor_fixture_keeps_structure_constants():
-    from coendcalc.tensor import conjugate_tensor_data
 
     d, t = grading_skeleton(QQ, 3)
     # the unit object must be fixed or the unit normalization gauge breaks
