@@ -10,7 +10,6 @@ exact, over the rationals or a prime field.
 
 from .coend import (
     CoalgebraData,
-    Coaction,
     CoendStructure,
     coalgebra_structure,
     comatrix_coalgebra,

@@ -115,7 +115,7 @@ def cmd_coend(doc: InputDocument, saturate: bool):
             checks.ok("coaction axioms for every object")
             checks.extend(coaction_naturality(coend, coactions))
             payload["coactions"] = [
-                {"object": name, "matrix": render_matrix(field, coactions[name].matrix)}
+                {"object": name, "matrix": render_matrix(field, coactions[name])}
                 for name, _ in diagram.objects
             ]
         except InternalConsistencyError as err:
@@ -302,19 +302,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        override = _parse_field_flag(args.field) if args.field else None
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-        doc = parse_document(text, field_override=override)
-        report, code = run_command(
-            args.command, doc, saturate=getattr(args, "saturate", False)
-        )
-    except FileNotFoundError:
-        print(f"error: no such file: {args.input}", file=sys.stderr)
+    except OSError as err:
+        print(f"error: cannot read {args.input}: {err.strerror or err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except UnicodeDecodeError as err:
         print(f"error: {args.input} is not valid UTF-8 (byte {err.start})", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    try:
+        override = _parse_field_flag(args.field) if args.field else None
+        doc = parse_document(text, field_override=override)
+        report, code = run_command(
+            args.command, doc, saturate=getattr(args, "saturate", False)
+        )
     except (InternalConsistencyError, WellDefinednessError) as err:
         # a broken invariant; a failure the input can cause is a check
         print(f"internal error: {err!r}", file=sys.stderr)
@@ -331,8 +332,12 @@ def main(argv=None) -> int:
         checks.add(c["name"], c["passed"], c["witness"])
     _print_human(args.command, report[args.command], checks, sys.stdout)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as err:
+            print(f"error: cannot write {args.report}: {err.strerror or err}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     return code
 
 

@@ -4,12 +4,13 @@ The ambient space V is the direct sum over objects X of the endomorphism
 coordinates of F(X).  The relation space J is spanned, for every span
 matrix A: X -> Y and every elementary T: F(Y) -> F(X), by the vector
 carrying the coordinates of T*A in block X minus those of A*T in block Y.
-The coend is the quotient split of V by J; the structure map of each
-object is the corresponding block of the projection.  A map on V that
-vanishes on J descends to the quotient, where it is read at the free
-columns: ``CoendStructure.descend`` checks the first against J's rref
-rows and does the second, for the coalgebra here, the canonical map of a
-round trip and the pairing of the end with the coend.
+The coend is the quotient split of V by J, a projection P whose kernel
+is J and the section S picking the free generators; the structure map of
+each object is its block of P's columns, and everything here reads P
+directly.  A map m on V kills J exactly when m == m S P, and then it
+descends to the quotient as m S: ``CoendStructure.descend`` checks and
+descends the coalgebra here, the canonical map of a round trip and the
+pairing of the end with the coend against P alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from .diagram import DiagramPresentation, hom_basis
 from .errors import InternalConsistencyError, WellDefinednessError
 from .fields import Field
-from .linalg import Matrix, QuotientSplit, SparseMap, kron_vec, quotient_split
+from .linalg import Matrix, QuotientSplit, SparseMap, quotient_split
 from .reports import CheckReport
 
 
@@ -33,24 +34,29 @@ class BlockLayout:
 
     def __init__(self, d: DiagramPresentation):
         self.names = d.names()
-        self.sizes = {name: d.dim(name) ** 2 for name in self.names}
+        self.dims = {name: d.dim(name) for name in self.names}
         self.offsets, transposed = {}, []
         total = 0
-        for name in self.names:
+        for name, n in self.dims.items():
             self.offsets[name] = total
-            n = d.dim(name)
             transposed += (total + j * n + i for i in range(n) for j in range(n))
-            total += self.sizes[name]
+            total += n * n
         self.total = total
         self.transposed = tuple(transposed)
 
     def locate(self, coordinate: int):
         """Return (object name, flat index within its block)."""
-        for name in self.names:
+        for name, n in self.dims.items():
             off = self.offsets[name]
-            if off <= coordinate < off + self.sizes[name]:
+            if off <= coordinate < off + n * n:
                 return name, coordinate - off
         raise IndexError(f"coordinate {coordinate} outside V (dim {self.total})")
+
+    def label(self, coordinate: int) -> str:
+        """The generator at a coordinate of V as 'X:i,j' (1-based)."""
+        name, flat = self.locate(coordinate)
+        i, j = divmod(flat, self.dims[name])
+        return f"{name}:{i + 1},{j + 1}"
 
 
 def relation_space(d: DiagramPresentation) -> list:
@@ -87,12 +93,11 @@ def relation_space(d: DiagramPresentation) -> list:
 
 @dataclass(frozen=True)
 class CoendStructure:
-    """The coend of a diagram: quotient split of V plus structure maps."""
+    """The coend of a diagram: the quotient split of V by J."""
 
     diagram: DiagramPresentation
     layout: BlockLayout
     split: QuotientSplit
-    structure_maps: dict  # object name -> (dim x d_X^2) matrix
 
     @property
     def dim(self) -> int:
@@ -106,42 +111,27 @@ class CoendStructure:
     def relation_dim(self) -> int:
         return self.ambient_dim - self.dim
 
-    def basis_coordinates(self) -> list:
-        """Per basis vector, the generator (object, i, j) its section picks."""
-        out = []
-        for fc in self.split.free:
-            name, flat = self.layout.locate(fc)
-            out.append((name, *divmod(flat, self.diagram.dim(name))))
-        return out
-
     def basis_labels(self) -> list:
         """Self-describing labels 'X:i,j' (1-based) of the chosen generators."""
-        return [f"{name}:{i + 1},{j + 1}" for name, i, j in self.basis_coordinates()]
-
-    def relation_map(self) -> SparseMap:
-        """The map whose column k is the rref row of J at its k-th pivot column."""
-        return self.split.subspace_map()
+        return [self.layout.label(fc) for fc in self.split.free]
 
     def descend(self, *named_maps) -> list:
-        """The quotient maps of ``(name, m)`` pairs, each m a SparseMap on V.
+        """The quotient maps m S of ``(name, m)`` pairs, each m a SparseMap on V.
 
-        A map that vanishes on J factors through P as m read at the free
-        columns, which the section picks.  Raises WellDefinednessError at
-        the first rref row of J that some map, in the order given, does not
-        kill."""
-        rel, field, free = self.relation_map(), self.diagram.field, self.split.free
-        composites = [(name, m @ rel) for name, m in named_maps]
-        for k in range(rel.cols):
-            for name, m in composites:
-                if m.column(k):
-                    raise WellDefinednessError(
-                        f"{name} does not vanish on the relation space", witness=f"relation {k}"
-                    )
+        m kills J exactly when m == m S P (see ``linalg``).  Raises
+        WellDefinednessError at the first generator where the first map
+        that fails, in the order given, differs from m S P."""
+        section, proj = self.split.section, self.split.projection_map
         out = []
-        for _, m in named_maps:
-            cols = [m.column(fc) for fc in free]
-            entries = [col.get(r, field.zero) for r in range(m.rows) for col in cols]
-            out.append(Matrix._trusted(field, m.rows, len(free), entries))
+        for name, m in named_maps:
+            down = m @ section
+            bad = m.first_difference(down @ proj)
+            if bad is not None:
+                raise WellDefinednessError(
+                    f"{name} does not vanish on the relation space",
+                    witness=f"generator {self.layout.label(bad[0])}",
+                )
+            out.append(down.to_matrix())
         return out
 
     @cached_property
@@ -151,17 +141,10 @@ class CoendStructure:
 
 
 def compute_coend(d: DiagramPresentation) -> CoendStructure:
-    """Split V by the relation space and slice out the structure maps."""
-    field = d.field
+    """Split V by the relation space."""
     layout = BlockLayout(d)
-    split = quotient_split(field, layout.total, relation_space(d))
-    proj = split.projection
-    structure_maps = {}
-    for name in layout.names:
-        lo, hi = layout.offsets[name], layout.offsets[name] + layout.sizes[name]
-        entries = [x for i in range(proj.rows) for x in proj.row(i)[lo:hi]]
-        structure_maps[name] = Matrix._trusted(field, proj.rows, hi - lo, entries)
-    return CoendStructure(diagram=d, layout=layout, split=split, structure_maps=structure_maps)
+    split = quotient_split(d.field, layout.total, relation_space(d))
+    return CoendStructure(diagram=d, layout=layout, split=split)
 
 
 @dataclass(frozen=True)
@@ -187,23 +170,25 @@ def coalgebra_structure(c: CoendStructure) -> CoalgebraData:
     generators: the coproduct of generator (i, j) of block X is the sum
     over k of the tensor of the images of (i, k) and (k, j), and its
     counit is the Kronecker delta."""
-    field, n = c.diagram.field, c.dim
+    field, n, proj = c.diagram.field, c.dim, c.split.projection_map
+    zero, one, add, mul = field.zero, field.one, field.add, field.mul
     delta_cols, eps_cols = [], []
     for name in c.layout.names:
-        d, imap = c.diagram.dim(name), c.structure_maps[name]
+        d, off = c.diagram.dim(name), c.layout.offsets[name]
+        gens = [proj.column(off + k) for k in range(d * d)]
         for i in range(d):
             for j in range(d):
-                acc = [field.zero] * (n * n)
+                acc = {}
                 for k in range(d):
-                    tensor = kron_vec(imap.col(i * d + k), imap.col(k * d + j), field)
-                    for idx, val in enumerate(tensor):
-                        if val:
-                            acc[idx] = field.add(acc[idx], val)
-                delta_cols.append(acc)
-                eps_cols.append((field.one if i == j else field.zero,))
+                    right = gens[k * d + j]
+                    for r, x in gens[i * d + k].items():
+                        for s, y in right.items():
+                            acc[r * n + s] = add(acc.get(r * n + s, zero), mul(x, y))
+                delta_cols.append({t: v for t, v in acc.items() if v})
+                eps_cols.append({0: one} if i == j else {})
     delta, epsilon = c.descend(
-        ("comultiplication", SparseMap.from_columns(field, n * n, delta_cols)),
-        ("counit", SparseMap.from_columns(field, 1, eps_cols)),
+        ("comultiplication", SparseMap(field, n * n, len(delta_cols), delta_cols.__getitem__)),
+        ("counit", SparseMap(field, 1, len(eps_cols), eps_cols.__getitem__)),
     )
     return CoalgebraData(dim=n, delta=delta, epsilon=epsilon)
 
@@ -252,14 +237,6 @@ def is_coalgebra_map(src: CoalgebraData, dst: CoalgebraData, phi: Matrix) -> Che
     return report
 
 
-@dataclass(frozen=True)
-class Coaction:
-    """A verified right coaction of the coend's coalgebra on F(X)."""
-
-    object_name: str
-    matrix: Matrix  # (d * n) x d
-
-
 def verify_coaction(coalg: CoalgebraData, rho: Matrix, dim: int) -> CheckReport:
     """The shape of one coaction matrix, then coassociativity
     (rho (x) 1) rho == (1 (x) delta) rho and the counit law
@@ -287,19 +264,20 @@ def verify_coaction(coalg: CoalgebraData, rho: Matrix, dim: int) -> CheckReport:
     return report
 
 
-def induced_coaction(c: CoendStructure, name: str) -> Coaction:
-    """The canonical coaction sending x_j to the sum of x_i (x) i_X(C_ij)."""
-    d, n = c.diagram.dim(name), c.dim
-    imap = c.structure_maps[name].entries
+def induced_coaction(c: CoendStructure, name: str) -> Matrix:
+    """The canonical coaction sending x_j to the sum of x_i (x) i_X(C_ij),
+    read off P's entries, verified."""
+    d, n, total = c.diagram.dim(name), c.dim, c.ambient_dim
+    off, proj = c.layout.offsets[name], c.split.projection.entries
     rho = Matrix(c.diagram.field, d * n, d, [
-        imap[a * d * d + i * d + j] for i in range(d) for a in range(n) for j in range(d)
+        proj[a * total + off + i * d + j] for i in range(d) for a in range(n) for j in range(d)
     ])
     report = verify_coaction(c.coalgebra, rho, d)
     if not report.passed:
         raise InternalConsistencyError(
             f"induced coaction of {name!r} violates an axiom: {report.failures()[0]}"
         )
-    return Coaction(object_name=name, matrix=rho)
+    return rho
 
 
 def coaction_naturality(c: CoendStructure, coactions: dict) -> CheckReport:
@@ -310,7 +288,7 @@ def coaction_naturality(c: CoendStructure, coactions: dict) -> CheckReport:
     """
     d = c.diagram
     one = SparseMap.identity(d.field, c.dim)
-    rho = {name: SparseMap.from_matrix(co.matrix) for name, co in coactions.items()}
+    rho = {name: SparseMap.from_matrix(m) for name, m in coactions.items()}
     report = CheckReport()
     report.add_first("span matrices are comodule morphisms", (
         f"span basis {idx} of ({x} -> {y})"

@@ -8,10 +8,12 @@ the coend's ambient space V, and the trace pairing
 tuple with that of (j, i) of a vector of V, ``BlockLayout.transposed``.
 For a span matrix A: X -> Y and an elementary T: F(Y) -> F(X) the pairing
 of t with the relation r(A, T) is tr(T (A t_X - t_Y A)), so the end is
-exactly J^perp (Joyal-Street).  It is computed from the coend's split: the
-restriction kernel of J's rref rows, ``CoendStructure.relation_map``, with
-each block's coordinates transposed.  The kernel depends only on the
-subspace, so these few reduced rows give the same basis as every relation.
+exactly J^perp (Joyal-Street).  J is the kernel of the coend's
+projection P, so J^perp is the row space of P: the end is spanned by P's
+q rows with each block's coordinates transposed.  One rref of those rows,
+with the columns in reverse order, makes each pivot a vector's last
+nonzero, so it gives the basis a restriction kernel of J would: each
+vector one at its last nonzero and zero at the others'.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 from .coend import BlockLayout, CoendStructure
 from .diagram import DiagramPresentation
 from .errors import InternalConsistencyError
-from .linalg import Matrix, SparseMap, kernel_basis, rank, unvec_matrix, vec_matrix
+from .linalg import Matrix, SparseMap, rank, rref, unvec_matrix, vec_matrix
 from .reports import CheckReport
 
 
@@ -71,12 +73,13 @@ class EndStructure:
 
 def compute_end(c: CoendStructure) -> EndStructure:
     """The tuples that pair to zero with J under the trace pairing: one
-    restriction kernel of J's rref rows, each block's coordinates
-    transposed (see the module docstring)."""
-    rel, to = c.relation_map(), c.layout.transposed
-    rows = ({to[k]: v for k, v in rel.column(j).items()} for j in range(rel.cols))
-    basis = tuple(kernel_basis(c.diagram.field, c.ambient_dim, rows))
-    free = tuple(max(i for i, x in enumerate(v) if x) for v in basis)
+    rref of P's rows, each block's coordinates transposed and the columns
+    reversed (see the module docstring)."""
+    proj, to, n = c.split.projection, c.layout.transposed, c.ambient_dim
+    flipped = [proj.entries[a * n + to[k]] for a in range(proj.rows) for k in reversed(range(n))]
+    reduced, pivots, q = rref(Matrix._trusted(c.diagram.field, proj.rows, n, flipped))
+    basis = tuple(reduced.row(a)[::-1] for a in reversed(range(q)))
+    free = tuple(n - 1 - p for p in reversed(pivots))
     return EndStructure(diagram=c.diagram, layout=c.layout, basis=basis, free=free)
 
 

@@ -16,7 +16,7 @@ class ShapeError(CoendcalcError, ValueError):
 class WellDefinednessError(CoendcalcError, ValueError):
     """A map defined on generators does not vanish on the relation space.
 
-    The offending relation (or generator pair) is kept in ``witness``.
+    The offending generator (or generator pair) is kept in ``witness``.
     """
 
     def __init__(self, message, witness=None):

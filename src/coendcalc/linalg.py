@@ -38,10 +38,11 @@ kernel and no elimination of J, and returns only P and ``free``.  A
 vector pairs to zero with J exactly when it lies in J^perp, so the
 kernel vectors, taken as rows, form a projection P: k^n -> k^q whose
 kernel is J; each is one at its own free column (its last nonzero) and
-zero at the other free columns, so P is the identity on ``free``.  J's
-rref rows are derived from the two on demand (``subspace_map``): the
-row at a pivot column c is e_c - sum_a P[a, c] e_free[a], one at c, zero
-at the other pivot columns, and killed by P.
+zero at the other free columns, so P is the identity on ``free``.  With S
+the section, sending quotient basis vector a to e_free[a], PS = 1, and
+SP is the projector onto the free columns whose kernel is J.  So a map m
+on k^n kills J exactly when m == (m S) P, and it then descends to the
+quotient as m S, m read at the free columns; no row of J is formed.
 
 ``SparseMap`` contract: a map is given column by column, and column j is a
 ``{row: value}`` dict of canonical entries that stores no zero, so two
@@ -75,6 +76,7 @@ lazy and equal the composites' dicts, so every witness is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -124,16 +126,6 @@ class Matrix:
             if len(r) != ncols:
                 raise ShapeError("ragged rows")
         return cls(field, len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        nrows = len(cols[0]) if cols else 0
-        for c in cols:
-            if len(c) != nrows:
-                raise ShapeError("ragged columns")
-        entries = [cols[j][i] for i in range(nrows) for j in range(len(cols))]
-        return cls(field, nrows, len(cols), entries)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -317,16 +309,6 @@ def left_inverse(m: Matrix):
     return Matrix._trusted(f, n, m.rows, [x for i in range(n) for x in reduced.row(i)[n:]])
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ShapeError when singular."""
-    if m.rows != m.cols:
-        raise ShapeError("only square matrices can be inverted")
-    inv = left_inverse(m)
-    if inv is None:
-        raise ShapeError("matrix is singular")
-    return inv
-
-
 # -- tensor structure ------------------------------------------------------
 
 
@@ -345,16 +327,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     base = (i * b.rows + k) * cols + j * b.cols
                     out[base : base + b.cols] = f.scale_row(x, b.row(k))
     return Matrix._trusted(f, rows, cols, out)
-
-
-def kron_vec(u: Sequence, v: Sequence, field: Field) -> Vector:
-    """Tensor coordinates of two vectors: (u (x) v)[r*len(v) + s] = u[r]*v[s]."""
-    n = len(v)
-    out = [field.zero] * (len(u) * n)
-    for r, x in enumerate(u):
-        if x:
-            out[r * n : (r + 1) * n] = field.scale_row(x, v)
-    return tuple(out)
 
 
 def vec_matrix(m: Matrix) -> Vector:
@@ -400,10 +372,6 @@ class SparseMap:
     def identity(cls, field: Field, n: int) -> "SparseMap":
         one = field.one
         return cls(field, n, n, lambda j: {j: one}, is_identity=True)
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "SparseMap":
-        return cls(field, rows, cols, lambda j: {})
 
     @classmethod
     def swap(cls, field: Field, a: int, b: int) -> "SparseMap":
@@ -496,6 +464,12 @@ class SparseMap:
             SparseMap(f, n, nn * n, lambda j: column(j % nn, 1, j // nn * n)),
         )
 
+    def to_matrix(self) -> Matrix:
+        """The map as a dense ``Matrix``."""
+        zero, cols = self.field.zero, [self.column(j) for j in range(self.cols)]
+        return Matrix._trusted(self.field, self.rows, self.cols,
+                               [col.get(r, zero) for r in range(self.rows) for col in cols])
+
     def first_difference(self, other: "SparseMap"):
         """The first (column, row) where the two maps differ, or None."""
         same_field(self.field, other.field)
@@ -530,26 +504,16 @@ class QuotientSplit:
     def quotient_dim(self) -> int:
         return self.projection.rows
 
-    @property
-    def section(self) -> Matrix:
-        f, q = self.projection.field, len(self.free)
-        sect = [f.zero] * (self.ambient_dim * q)
-        for a, fc in enumerate(self.free):
-            sect[fc * q + a] = f.one
-        return Matrix._trusted(f, self.ambient_dim, q, sect)
+    @cached_property
+    def projection_map(self) -> SparseMap:
+        """P as a SparseMap, built once."""
+        return SparseMap.from_matrix(self.projection)
 
-    def subspace_map(self) -> SparseMap:
-        """The map whose column k is the rref row of the subspace at its
-        k-th pivot column c: e_c - sum_a P[a, c] e_free[a]."""
-        f, proj = self.projection.field, self.projection
-        cols = {c: {c: f.one} for c in range(self.ambient_dim)}
-        for a, fc in enumerate(self.free):
-            del cols[fc]
-            # row a is one at fc and nonzero elsewhere only at pivot columns
-            for c, x in proj.row_terms(a).items():
-                if c != fc:
-                    cols[c][fc] = f.neg(x)
-        cols = list(cols.values())
+    @cached_property
+    def section(self) -> SparseMap:
+        """S as a SparseMap: column a is e_free[a]."""
+        f = self.projection.field
+        cols = [{fc: f.one} for fc in self.free]
         return SparseMap(f, self.ambient_dim, len(cols), cols.__getitem__)
 
 

@@ -180,7 +180,7 @@ def roundtrip_verify(c: CoalgebraData, mods: list) -> RoundtripReport:
     checks.add_first("induced coactions carried back", (
         f"comodule at object {name!r}"
         for name, mod in zip(coend.layout.names, mods)
-        if kron(Matrix.identity(c.field, mod.dim), phi) * induced_coaction(coend, name).matrix
+        if kron(Matrix.identity(c.field, mod.dim), phi) * induced_coaction(coend, name)
         != mod.rho
     ))
 

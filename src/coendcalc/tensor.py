@@ -24,7 +24,6 @@ from .linalg import (
     VectorSpan,
     kron,
     left_inverse,
-    unvec_matrix,
     vec_matrix,
 )
 from .reports import CheckReport
@@ -184,53 +183,45 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
     return report
 
 
-def _elementary(field, dim: int, flat: int) -> Matrix:
-    """The dim x dim matrix with a single one at vec coordinate ``flat``."""
-    return unvec_matrix(
-        field, [field.one if k == flat else field.zero for k in range(dim * dim)], dim, dim
-    )
-
-
 def coend_multiplication(c: CoendStructure, t: TensorData):
     """Structure constants of the coend multiplication, plus its checks.
 
     On generators: the product of i_X(S) and i_Y(T) is the image under
-    the product object's structure map of the comparison-conjugated
-    Kronecker product of S and T.  The generator-level bilinear map M must
-    annihilate J (x) V and V (x) J, that is M(J (x) 1) = 0 = M(1 (x) J);
-    each failure is reported with a witness.  The product is read off on
-    the free columns.
+    the product object's block of P of Phi (S (x) T) Phi^-1.  For
+    elementary S and T, S (x) T is one elementary E_{row,col}, so that
+    conjugate is the rank-one (column row of Phi)(row col of Phi^-1), and
+    the product is a sum of P's sparse columns.  The generator-level
+    bilinear map M must annihilate J (x) V and V (x) J; SP kills J and is
+    the identity on the free generators, so that is M == M(SP (x) 1) and
+    M == M(1 (x) SP), each failure reported at its first pair of
+    generators.  The product is M(S (x) S), M read at the free pairs.
     """
-    d, field, n, total = c.diagram, c.diagram.field, c.dim, c.ambient_dim
+    d, field, total = c.diagram, c.diagram.field, c.ambient_dim
     if None in t.inverses.values():
         raise ShapeError("comparison maps must be invertible")
-    gens = [(name, flat) for name in c.layout.names for flat in range(d.dim(name) ** 2)]
+    proj, section, mul, lincomb = c.split.projection_map, c.split.section, field.mul, field.lincomb
+    gens = [(x, d.dim(x), v) for x in c.layout.names for v in range(d.dim(x) ** 2)]
     columns = []
-    for x, flat_v in gens:
-        s_mat = _elementary(field, d.dim(x), flat_v)
-        for y, flat_w in gens:
-            t_mat = _elementary(field, d.dim(y), flat_w)
-            moved = t.pair_isos[(x, y)] * kron(s_mat, t_mat) * t.inverses[(x, y)]
-            columns.append(c.structure_maps[t.table[(x, y)]].apply(vec_matrix(moved)))
+    for x, dx, v in gens:
+        for y, dy, w in gens:
+            z, phi, inv = t.table[(x, y)], t.pair_isos[(x, y)], t.inverses[(x, y)]
+            off, dz = c.layout.offsets[z], d.dim(z)
+            # S and T are E_{v % dx, v // dx} and E_{w % dy, w // dy} in vec order
+            row, col = v % dx * dy + w % dy, v // dx * dy + w // dy
+            columns.append(lincomb(
+                (mul(p, q), proj.column(off + b * dz + a))
+                for a, p in phi.col_terms(row) for b, q in inv.row_terms(col).items()
+            ))
 
-    mult = SparseMap.from_columns(field, n, columns)
-    rel = c.relation_map()
-    one = SparseMap.identity(field, total)
-    zero = SparseMap.zeros(field, n, rel.cols * total)
-    report = CheckReport()
-    for name, composite in (
-        ("annihilates J (x) V", mult @ rel.kron(one)),
-        # the flip orders the columns by relation first, as above
-        ("annihilates V (x) J", mult @ one.kron(rel) @ SparseMap.swap(field, rel.cols, total)),
-    ):
+    mult = SparseMap(field, c.dim, total * total, columns.__getitem__)
+    sp, one = section @ proj, SparseMap.identity(field, total)
+    label, report = c.layout.label, CheckReport()
+    for name, side in (("J (x) V", sp.kron(one)), ("V (x) J", one.kron(sp))):
         report.add_equal(
-            name, composite, zero,
-            lambda j, _: f"relation {j // total} against generator {gens[j % total]}",
+            f"annihilates {name}", mult, mult @ side,
+            lambda j, _: f"generator {label(j // total)} against generator {label(j % total)}",
         )
-
-    free = c.split.free
-    entries = [x for a in free for b in free for x in columns[a * total + b]]
-    return Matrix._trusted(field, n * n, n, entries).transpose(), report
+    return (mult @ section.kron(section)).to_matrix(), report
 
 
 def unit_element(c: CoendStructure, t: TensorData) -> tuple:
@@ -240,7 +231,7 @@ def unit_element(c: CoendStructure, t: TensorData) -> tuple:
         raise ShapeError(f"unit object {t.unit!r} is not in the diagram")
     if d.dim(t.unit) != 1:
         raise ShapeError(f"unit object {t.unit!r} must have dimension 1")
-    return c.structure_maps[t.unit].col(0)
+    return c.split.projection.col(c.layout.offsets[t.unit])
 
 
 @dataclass(frozen=True)

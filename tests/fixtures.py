@@ -18,8 +18,58 @@ from coendcalc import (
     is_coalgebra_map,
 )
 from coendcalc.errors import ShapeError
-from coendcalc.linalg import inverse, kron, rank, unvec_matrix, vec_matrix
+from coendcalc.linalg import SparseMap, kron, left_inverse, rank, unvec_matrix, vec_matrix
 from coendcalc.reports import CheckReport
+
+
+# -- linear-algebra helpers only the tests use ------------------------------
+
+
+def matrix_from_cols(field, cols) -> Matrix:
+    """The matrix whose column j is the vector ``cols[j]``."""
+    cols = [tuple(c) for c in cols]
+    nrows = len(cols[0]) if cols else 0
+    for c in cols:
+        if len(c) != nrows:
+            raise ShapeError("ragged columns")
+    entries = [cols[j][i] for i in range(nrows) for j in range(len(cols))]
+    return Matrix(field, nrows, len(cols), entries)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse of a square matrix; raises ShapeError when singular."""
+    if m.rows != m.cols:
+        raise ShapeError("only square matrices can be inverted")
+    inv = left_inverse(m)
+    if inv is None:
+        raise ShapeError("matrix is singular")
+    return inv
+
+
+def kron_vec(u, v, field) -> tuple:
+    """Tensor coordinates of two vectors: (u (x) v)[r*len(v) + s] = u[r]*v[s]."""
+    n = len(v)
+    out = [field.zero] * (len(u) * n)
+    for r, x in enumerate(u):
+        if x:
+            out[r * n : (r + 1) * n] = field.scale_row(x, v)
+    return tuple(out)
+
+
+def zero_map(field, rows, cols) -> SparseMap:
+    """The zero map k^cols -> k^rows."""
+    return SparseMap(field, rows, cols, lambda j: {})
+
+
+def structure_map(c: CoendStructure, name: str) -> Matrix:
+    """The structure map i_X: End(F(X)) -> coend, the block of X's columns of P."""
+    proj, lo = c.split.projection, c.layout.offsets[name]
+    hi = lo + c.layout.dims[name] ** 2
+    entries = [x for i in range(proj.rows) for x in proj.row(i)[lo:hi]]
+    return Matrix(proj.field, proj.rows, hi - lo, entries)
+
+
+# -- diagrams ------------------------------------------------------------------
 
 
 def unit_matrix(field, d, i, j):
@@ -265,7 +315,7 @@ def induced_quotient_map(src: CoendStructure, dst: CoendStructure) -> Matrix:
         cols.append(dst.split.projection.col(dst.layout.offsets[name] + flat))
     if not cols:
         return Matrix(src.diagram.field, dst.dim, 0, [])
-    return Matrix.from_cols(src.diagram.field, cols)
+    return matrix_from_cols(src.diagram.field, cols)
 
 
 def dual_algebra(c: CoalgebraData) -> AlgebraData:
@@ -289,7 +339,7 @@ def conjugation_coalgebra_check(p: Matrix) -> CheckReport:
     field, d, p_inv = p.field, p.rows, inverse(p)
     model = comatrix_coalgebra(field, d)
     cols = [vec_matrix(p * _generator(field, d, flat) * p_inv) for flat in range(d * d)]
-    phi = Matrix.from_cols(field, cols) if cols else Matrix(field, 0, 0, [])
+    phi = matrix_from_cols(field, cols) if cols else Matrix(field, 0, 0, [])
     report = is_coalgebra_map(model, model, phi)
     report.add("bijective", d == 0 or rank(phi) == d * d)
     return report
@@ -333,4 +383,4 @@ def conjugation_quotient_map(
         cols.append(dst.split.projection.apply(out))
     if not cols:
         return Matrix(field, dst.dim, 0, [])
-    return Matrix.from_cols(field, cols)
+    return matrix_from_cols(field, cols)

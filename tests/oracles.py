@@ -231,6 +231,20 @@ def oracle_relation_rows(field, diagram):
     return rows
 
 
+def oracle_relation_basis(field, diagram):
+    """The nonzero rref rows of the relation space in the library's
+    coordinates, where coordinate i*dim + j of a block is entry (j, i):
+    each block of oracle_relation_rows, flattened row-major, is transposed
+    first."""
+    order = []
+    for name in diagram.names():
+        dim, base = diagram.dim(name), len(order)
+        order += [base + j * dim + i for i in range(dim) for j in range(dim)]
+    rows = [[row[k] for k in order] for row in oracle_relation_rows(field, diagram)]
+    reduced, pivots = oracle_rref(field, rows)
+    return [tuple(r) for r in reduced[: len(pivots)]]
+
+
 def oracle_relation_rank(field, diagram):
     """Rank of the relation space spanned by oracle_relation_rows."""
     return oracle_rank(field, oracle_relation_rows(field, diagram))
@@ -348,7 +362,7 @@ def oracle_comodule_hom_span(c, m, n):
         defect = n.rho * g - kron(g, ident) * m.rho
         cols.append(vec_matrix(defect))
     if cols:
-        system = Matrix.from_cols(field, cols)
+        system = Matrix(field, len(cols[0]), len(cols), [x for row in zip(*cols) for x in row])
     else:
         system = Matrix(field, dn * nc * dm, 0, [])
     return [unvec_matrix(field, v, dn, dm) for v in oracle_kernel(field, system)]

@@ -223,6 +223,22 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    # a directory cannot be read as a document
+    assert main(["coend", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_unwritable_report_is_an_input_error(tmp_path, capsys):
+    comatrix = write(tmp_path, "c.json", COMATRIX_DOC)
+    report = tmp_path / "missing" / "r.json"
+    assert main(["coend", comatrix, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {report}: No such file or directory\n"
+    assert not report.parent.exists()
+
+
 def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     from coendcalc import cli
 
@@ -240,7 +256,7 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("target, error", [
     ("coendcalc.end.end_algebra", InternalConsistencyError("product tuple escaped the end")),
     ("coendcalc.cli.duality_isomorphism", WellDefinednessError(
-        "pairing functional does not vanish on the relation space", witness="relation 0"
+        "pairing functional does not vanish on the relation space", witness="generator X:1,1"
     )),
 ], ids=["InternalConsistencyError", "WellDefinednessError"])
 def test_broken_invariant_exits_3_with_one_line(target, error, tmp_path, capsys, monkeypatch):

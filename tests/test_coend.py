@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendcalc import (
     GF,
@@ -27,7 +28,7 @@ from coendcalc import (
 )
 from coendcalc.coend import coaction_naturality, verify_coaction
 from coendcalc.diagram import hom_basis
-from coendcalc.linalg import kron_vec, rank
+from coendcalc.linalg import rank
 
 from fixtures import (
     all_diagram_fixtures,
@@ -37,17 +38,22 @@ from fixtures import (
     full_matrix_diagram,
     induced_quotient_map,
     isolated_points,
+    kron_vec,
     permute_objects,
     regular_comodule_setup,
     shipped_samples,
     small_diagrams,
+    structure_map,
     two_object_unsaturated,
     vectorize_hom,
+    zero_map,
 )
 from oracles import (
     oracle_commutator_span_dim,
     oracle_comatrix_delta,
+    oracle_kernel,
     oracle_rank,
+    oracle_relation_basis,
     oracle_relation_space,
 )
 
@@ -171,7 +177,7 @@ def test_zero_dimensional_objects_contribute_nothing():
     assert c.dim == 4
     assert c.basis_labels() == ["X:1,1", "X:1,2", "X:2,1", "X:2,2"]
     act = induced_coaction(c, "Z")
-    assert (act.matrix.rows, act.matrix.cols) == (0, 0)
+    assert (act.rows, act.cols) == (0, 0)
 
 
 # -- coalgebra structure -----------------------------------------------------
@@ -198,7 +204,7 @@ def test_trace_collapse_is_grouplike():
         assert coalg.epsilon == Matrix.from_rows(QQ, [[1]])
         # brute force the coproduct of the trace-1 generator C_11 modulo J:
         # sum_k i(C_1k) (x) i(C_k1) must equal i(C_11) (x) i(C_11)
-        imap = c.structure_maps["X"]
+        imap = structure_map(c, "X")
         u = imap.col(0)
         acc = [Fraction(0)]
         for k in range(dim):
@@ -222,22 +228,26 @@ def test_grouplike_helper_verifies():
     assert verify_coalgebra(coalg).passed
 
 
-def test_coalgebra_well_definedness_guard():
+def bogus_split_coend():
+    """The 2 x 2 full-matrix coend with its split replaced by P = [1 0 0 2],
+    which is the identity on ``free`` = (0,) but whose kernel is not J."""
     from coendcalc.coend import CoendStructure
-    from coendcalc.errors import WellDefinednessError
+    from coendcalc.linalg import QuotientSplit
 
     c = compute_coend(full_matrix_diagram(QQ, 2))
-    bogus = CoendStructure(
-        diagram=c.diagram,
-        layout=c.layout,
-        split=c.split,
-        structure_maps={"X": Matrix(QQ, 1, 4, [1, 1, 1, 1])},
-    )
+    split = QuotientSplit(ambient_dim=4, projection=Matrix(QQ, 1, 4, [1, 0, 0, 2]), free=(0,))
+    return CoendStructure(diagram=c.diagram, layout=c.layout, split=split)
+
+
+def test_coalgebra_well_definedness_guard():
+    from coendcalc.errors import WellDefinednessError
+
     with pytest.raises(WellDefinednessError) as err:
-        coalgebra_structure(bogus)
-    # relation 1 is J's rref row at pivot column 1, the generator (0, 1)
+        coalgebra_structure(bogus_split_coend())
+    # the generator coproducts are 1, 0, 0 and 4 times the one basis
+    # tensor; m S P reads generator (1, 1) everywhere, so (2, 2) differs
     assert str(err.value) == "comultiplication does not vanish on the relation space"
-    assert err.value.witness == "relation 1"
+    assert err.value.witness == "generator X:2,2"
 
 
 def test_canonical_map_descent_names_the_relation():
@@ -245,14 +255,16 @@ def test_canonical_map_descent_names_the_relation():
 
     # the fundamental comodule of the comatrix coalgebra sends generator
     # (i, j) to C_ij, which the commutator relations of the full matrix
-    # span do not kill; relation 0 is J's rref row e_(0,0) - e_(1,1)
+    # span do not kill; the trace is the one free generator (2, 2), and
+    # J's rref row at pivot (1, 1) is e_(1,1) - e_(2,2)
     c = compute_coend(full_matrix_diagram(QQ, 2))
-    assert c.relation_map().column(0) == {0: 1, 3: -1}
+    assert c.split.free == (3,)
+    assert c.split.projection == Matrix.from_rows(QQ, [[1, 0, 0, 1]])
     coalg, (_, fundamental) = comatrix_with_two_comodules(QQ)
     with pytest.raises(WellDefinednessError) as err:
         canonical_map(c, coalg, [fundamental])
     assert str(err.value) == "canonical map does not vanish on the relation space"
-    assert err.value.witness == "relation 0"
+    assert err.value.witness == "generator X:1,1"
 
 
 def test_pairing_descent_names_the_relation():
@@ -260,14 +272,14 @@ def test_pairing_descent_names_the_relation():
     from coendcalc.errors import WellDefinednessError
 
     # a non-scalar tuple does not commute with the full matrix span: its
-    # functional is one on generator (0, 1), relation 1, and zero before
+    # functional is one on generator (1, 2), J's rref row there, and zero before
     c = compute_coend(full_matrix_diagram(QQ, 2))
     e = compute_end(c)
     bogus = EndStructure(diagram=c.diagram, layout=e.layout, basis=((0, 0, 1, 0),), free=(2,))
     with pytest.raises(WellDefinednessError) as err:
         duality_isomorphism(bogus, c)
     assert str(err.value) == "pairing functional does not vanish on the relation space"
-    assert err.value.witness == "relation 1"
+    assert err.value.witness == "generator X:1,2"
 
 
 def test_descend_reads_each_map_at_the_free_columns():
@@ -284,20 +296,52 @@ def test_descend_reads_each_map_at_the_free_columns():
     ]
     # a zero-dimensional quotient gives maps with no columns
     empty = compute_coend(isolated_points(QQ, [0]))
-    assert empty.descend(("m", SparseMap.zeros(QQ, 2, 0))) == [Matrix(QQ, 2, 0, [])]
+    assert empty.descend(("m", zero_map(QQ, 2, 0))) == [Matrix(QQ, 2, 0, [])]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_descend_succeeds_exactly_on_maps_killing_the_oracle_relations(field):
+    """A map m on V descends exactly when it kills every relation row the
+    oracle assembles with products, and then its quotient map D has
+    D P = m.  Half the maps are drawn through the oracle's J^perp, so both
+    outcomes occur."""
+    from coendcalc.errors import WellDefinednessError
+    from coendcalc.linalg import SparseMap
+
+    if field is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(small_diagrams(field), st.data())
+    def check(d, data):
+        c, relations = compute_coend(d), oracle_relation_basis(field, d)
+        n, rows = c.ambient_dim, data.draw(st.integers(1, 2))
+        j_rows = Matrix(field, len(relations), n, [x for r in relations for x in r])
+        perp = oracle_kernel(field, j_rows)
+        if perp and data.draw(st.booleans()):  # a map through J^perp
+            weights = [[data.draw(scalar) for _ in perp] for _ in range(rows)]
+            m = [[field.dot(ws, [v[k] for v in perp]) for k in range(n)] for ws in weights]
+        else:
+            m = [[data.draw(scalar) for _ in range(n)] for _ in range(rows)]
+        kills = all(not field.dot(row, r) for row in m for r in relations)
+        sparse = SparseMap.from_columns(field, rows, [[row[k] for row in m] for k in range(n)])
+        try:
+            (down,) = c.descend(("m", sparse))
+        except WellDefinednessError:
+            assert not kills
+        else:
+            assert kills
+            assert down * c.split.projection == Matrix.from_rows(field, m)
+
+    check()
 
 
 def test_cached_coalgebra_raises_on_every_access():
-    from coendcalc.coend import CoendStructure
     from coendcalc.errors import WellDefinednessError
 
-    c = compute_coend(full_matrix_diagram(QQ, 2))
-    bogus = CoendStructure(
-        diagram=c.diagram,
-        layout=c.layout,
-        split=c.split,
-        structure_maps={"X": Matrix(QQ, 1, 4, [1, 1, 1, 1])},
-    )
+    bogus = bogus_split_coend()
     for _ in range(2):  # a failure is not cached
         with pytest.raises(WellDefinednessError):
             bogus.coalgebra
@@ -319,8 +363,8 @@ def test_defining_relation_on_random_maps(field):
                     t = Matrix(
                         field, dx, dy, [field.coerce(rng.randint(-4, 4)) for _ in range(dx * dy)]
                     )
-                    left = c.structure_maps[x].apply(vectorize_hom(d, x, t * a))
-                    right = c.structure_maps[y].apply(vectorize_hom(d, y, a * t))
+                    left = structure_map(c, x).apply(vectorize_hom(d, x, t * a))
+                    right = structure_map(c, y).apply(vectorize_hom(d, y, a * t))
                     assert left == right
 
 
@@ -331,9 +375,10 @@ def test_generators_span_coend():
 
 
 def test_structure_map_blocks_match_projection():
+    # the coaction of a 1-dim object is its structure map, its column of P
     c = compute_coend(connected_pair(QQ))
-    assert c.structure_maps["X"].col(0) == c.split.projection.col(0)
-    assert c.structure_maps["Y"].col(0) == c.split.projection.col(1)
+    assert induced_coaction(c, "X").col(0) == c.split.projection.col(0)
+    assert induced_coaction(c, "Y").col(0) == c.split.projection.col(1)
 
 
 # -- realization uniqueness ---------------------------------------------------
@@ -359,13 +404,13 @@ def test_permuting_objects_preserves_structure_constants(field):
 def test_one_dim_coaction_is_grouplike():
     d = DiagramPresentation(QQ, [("X", 1)], {("X", "X"): [Matrix.identity(QQ, 1)]})
     c = compute_coend(d)
-    rho = induced_coaction(c, "X").matrix
+    rho = induced_coaction(c, "X")
     assert rho == Matrix.from_rows(QQ, [[1]])
 
 
 def test_comatrix_coaction_is_standard():
     c = compute_coend(comatrix_diagram(QQ, 2))
-    rho = induced_coaction(c, "X").matrix
+    rho = induced_coaction(c, "X")
     # rho(x_j) = sum_i x_i (x) C_ij: coordinate (i*4 + (i*2+j), j) is 1
     expected = Matrix.zeros(QQ, 8, 2)
     entries = list(expected.entries)
@@ -382,7 +427,7 @@ def test_coactions_and_naturality_on_fixtures():
         coactions = {}
         for obj, _ in d.objects:
             act = induced_coaction(c, obj)
-            assert verify_coaction(coalg, act.matrix, d.dim(obj)).passed, name
+            assert verify_coaction(coalg, act, d.dim(obj)).passed, name
             coactions[obj] = act
         assert coaction_naturality(c, coactions).passed, name
 

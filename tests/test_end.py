@@ -1,4 +1,5 @@
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -232,10 +233,11 @@ def test_structures_compute_their_coalgebra_and_algebra_once():
 def test_end_command_builds_each_structure_once(monkeypatch):
     from coendcalc import coend as coend_module
     from coendcalc import end as end_module
+    from coendcalc import linalg
     from coendcalc.cli import run_command
     from coendcalc.inputdoc import parse_document
 
-    calls = {"end_algebra": 0, "coalgebra_structure": 0, "relation_space": 0}
+    calls = {"end_algebra": 0, "coalgebra_structure": 0, "relation_space": 0, "kernel_basis": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -248,8 +250,16 @@ def test_end_command_builds_each_structure_once(monkeypatch):
                         counted("coalgebra_structure", coend_module.coalgebra_structure))
     monkeypatch.setattr(coend_module, "relation_space",
                         counted("relation_space", coend_module.relation_space))
+    # every module that imported kernel_basis holds its own reference
+    original = linalg.kernel_basis
+    for module in [m for name, m in sys.modules.items() if name.startswith("coendcalc")]:
+        if getattr(module, "kernel_basis", None) is original:
+            monkeypatch.setattr(module, "kernel_basis", counted("kernel_basis", original))
     text = (ROOT / "sample_inputs" / "comatrix2.json").read_text()
     report, code = run_command("end", parse_document(text))
     assert code == 0 and report["passed"]
-    # the end is read off the coend's split, so one relation system is built
-    assert calls == {"end_algebra": 1, "coalgebra_structure": 1, "relation_space": 1}
+    # the end is read off the coend's split, so one relation system is
+    # built and eliminated once
+    assert calls == {
+        "end_algebra": 1, "coalgebra_structure": 1, "relation_space": 1, "kernel_basis": 1
+    }

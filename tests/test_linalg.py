@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from coendcalc import GF, QQ, Matrix, ShapeError, kernel_basis, kron, quotient_split, rref
 from coendcalc.linalg import (
     VectorSpan,
-    inverse,
     left_inverse,
     rank,
     unvec_matrix,
     vec_matrix,
 )
 
+from fixtures import inverse
 from oracles import (
     oracle_apply,
     oracle_kernel,
@@ -132,7 +132,7 @@ def test_quotient_split_line():
     split = quotient_split(QQ, 2, [{0: Fraction(1), 1: Fraction(1)}])
     assert split.quotient_dim == 1
     assert split.projection.apply((1, 1)) == (Fraction(0),)
-    assert split.projection * split.section == Matrix.identity(QQ, 1)
+    assert (split.projection_map @ split.section).to_matrix() == Matrix.identity(QQ, 1)
 
 
 def test_quotient_split_trivial_cases():
@@ -153,7 +153,8 @@ def test_quotient_split_invariants(field):
         assert split.quotient_dim == n - rank(Matrix(field, len(vecs), n, [x for v in vecs for x in v]))
         for v in vecs:
             assert all(x == field.zero for x in split.projection.apply(v))
-        assert split.projection * split.section == Matrix.identity(field, split.quotient_dim)
+        identity = (split.projection_map @ split.section).to_matrix()
+        assert identity == Matrix.identity(field, split.quotient_dim)
 
 
 def sparse_row_sets(field):
@@ -185,13 +186,21 @@ def test_quotient_split_properties(field):
         assert [[proj[a, fc] for fc in split.free] for a in range(proj.rows)] == (
             Matrix.identity(field, len(split.free)).row_list()
         )
-        # the reduced basis of J derived from P and ``free`` is what rref
-        # gives, and the dims add up
-        reduced, _, rk = rref(Matrix(field, len(dense), n, [x for v in dense for x in v]))
-        sub = split.subspace_map()
-        rows = [tuple(sub.column(k).get(i, field.zero) for i in range(n)) for k in range(sub.cols)]
+        # SP is the projector along J: the identity at each free column c,
+        # and e_c - SP e_c at each other column c is the rref row of J at
+        # pivot c; and the dims add up
+        reduced, pivots, rk = rref(Matrix(field, len(dense), n, [x for v in dense for x in v]))
+        sp = split.section @ split.projection_map
+        assert sorted(split.free + pivots) == list(range(n))
+        for fc in split.free:
+            assert sp.column(fc) == {fc: field.one}
+        rows = [
+            tuple(field.sub(field.one if i == c else field.zero, sp.column(c).get(i, field.zero))
+                  for i in range(n))
+            for c in pivots
+        ]
         assert rows == [reduced.row(i) for i in range(rk)]
-        assert all(all(sub.column(k).values()) for k in range(sub.cols))  # stores no zero
+        assert all(all(sp.column(c).values()) for c in range(n))  # stores no zero
         assert split.quotient_dim == n - rk
         assert_canonical(field, [*proj.entries, *(x for v in rows for x in v)])
 

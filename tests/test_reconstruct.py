@@ -215,7 +215,7 @@ def test_roundtrip_carries_coactions_back():
     coend = compute_coend(d)
     phi = canonical_map(coend, coalg, mods)
     for name, mod in zip(d.names(), mods):
-        rho_ind = induced_coaction(coend, name).matrix
+        rho_ind = induced_coaction(coend, name)
         carried = kron(Matrix.identity(QQ, mod.dim), phi) * rho_ind
         assert carried == mod.rho
 

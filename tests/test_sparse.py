@@ -25,9 +25,9 @@ from coendcalc import (
     verify_coalgebra,
     verify_comodule,
 )
-from coendcalc.linalg import SparseMap, kron_vec
+from coendcalc.linalg import SparseMap
 
-from fixtures import grading_skeleton, regular_comodule_setup
+from fixtures import grading_skeleton, kron_vec, regular_comodule_setup, zero_map
 
 FIELDS = [QQ, GF(7), GF(2**31 - 1)]
 
@@ -101,7 +101,8 @@ def test_sparse_products_match_dense(field):
         one = SparseMap.identity(field, a.rows)
         assert dense(one) == Matrix.identity(field, a.rows)
         assert dense(one @ sa) == a and dense(sa @ SparseMap.identity(field, a.cols)) == a
-        assert dense(SparseMap.zeros(field, a.rows, b.cols)) == Matrix.zeros(field, a.rows, b.cols)
+        assert dense(zero_map(field, a.rows, b.cols)) == Matrix.zeros(field, a.rows, b.cols)
+        assert sa.to_matrix() == a and (sa @ sb).to_matrix() == a * b
         cols = [a.col(j) for j in range(a.cols)]
         assert dense(SparseMap.from_columns(field, a.rows, cols)) == a
         # a Kronecker product with an identity factor shifts indices, on

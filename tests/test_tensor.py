@@ -24,7 +24,7 @@ from coendcalc import (
     validate_tensor,
     verify_bialgebra,
 )
-from coendcalc.linalg import kron_vec, rank
+from coendcalc.linalg import rank
 
 from fixtures import (
     conjugate_diagram,
@@ -33,6 +33,7 @@ from fixtures import (
     conjugation_quotient_map,
     dual_algebra,
     grading_skeleton,
+    kron_vec,
     one_directional_z3,
     two_object_unsaturated,
 )
@@ -235,8 +236,9 @@ def test_multiplication_ill_defined_with_witness():
 def test_multiplication_checks_each_side(left_zero):
     """The relations e ~ a ~ c in the monoid {e, a, b, c} where a, b and c
     are left zeros (x y = x) or right zeros (x y = y): only one side of the
-    multiplication kills J, and the report says which, at the first
-    relation and the first generator."""
+    multiplication kills J, and the report says which, at the first pair
+    of generators (left, then right) where M differs from M(SP (x) 1) or
+    M(1 (x) SP): e against b on the left, b against e on the right."""
     one = Matrix.from_rows(QQ, [[1]])
     spans = {(x, x): [one] for x in "eabc"}
     spans[("e", "a")] = spans[("e", "c")] = [one]
@@ -247,10 +249,12 @@ def test_multiplication_checks_each_side(left_zero):
     c = compute_coend(d)
     assert (c.dim, c.relation_dim) == (2, 2)
     _, report = coend_multiplication(c, TensorData.build(d, "e", table))
-    failing = "annihilates J (x) V" if left_zero else "annihilates V (x) J"
-    assert [(f.name, f.witness) for f in report.failures()] == [
-        (failing, "relation 0 against generator ('b', 0)")
-    ]
+    failing = (
+        ("annihilates J (x) V", "generator e:1,1 against generator b:1,1")
+        if left_zero
+        else ("annihilates V (x) J", "generator b:1,1 against generator e:1,1")
+    )
+    assert [(f.name, f.witness) for f in report.failures()] == [failing]
 
 
 def test_unit_element_requires_unit_object():
