@@ -10,6 +10,9 @@ boundaries.
 Row kernels work in native operators: ``dot``, ``axpy`` and ``scale_row``
 on dense rows, and ``lincomb``, the sum of scaled sparse columns that
 ``SparseMap`` products and sparse system rows are built with.
+``products_equal`` decides w*x == y*z without forming either product:
+over the rationals on cross-multiplied numerators and denominators (no
+``Fraction``, no gcd), over GF(p) with one residue test.
 """
 
 from __future__ import annotations
@@ -110,6 +113,10 @@ class Field:
         ``{index: value}`` column, as a column that stores no zero."""
         raise NotImplementedError
 
+    def products_equal(self, w: Scalar, x: Scalar, y: Scalar, z: Scalar) -> bool:
+        """Whether ``w * x == y * z``, decided without forming either product."""
+        raise NotImplementedError
+
     def parse(self, text: str) -> Scalar:
         """Read a scalar from text, normalizing to canonical form."""
         if isinstance(text, int):
@@ -190,6 +197,11 @@ class RationalField(Field):
             for r, x in col.items():
                 acc[r] = acc[r] + w * x if r in acc else w * x
         return {r: x for r, x in acc.items() if x}
+
+    def products_equal(self, w, x, y, z):
+        (a, b), (c, d) = w.as_integer_ratio(), x.as_integer_ratio()
+        (e, g), (h, i) = y.as_integer_ratio(), z.as_integer_ratio()
+        return a * c * g * i == e * h * b * d
 
     def descriptor(self) -> dict:
         return {"kind": "rational"}
@@ -272,6 +284,9 @@ class PrimeField(Field):
             for r, x in col.items():
                 acc[r] = acc.get(r, 0) + w * x
         return {r: y for r, x in acc.items() if (y := x % p)}
+
+    def products_equal(self, w, x, y, z):
+        return not (w * x - y * z) % self.p
 
     def descriptor(self) -> dict:
         return {"kind": "prime", "p": self.p}

@@ -1,4 +1,4 @@
-"""Parsing and rendering of the JSON input document.
+"""Parsing of the JSON input document, and the rendering of its matrices.
 
 A document either presents a diagram (objects, hom spans, optional tensor
 section) or a coalgebra with comodules for round-trip mode.  Scalars are
@@ -193,49 +193,3 @@ def _parse_coalgebra_document(field: Field, data: dict) -> InputDocument:
         comodules.append(ComodulePresentation(dim=d, rho=rho))
     return InputDocument(field=field, coalgebra=coalg, comodules=comodules)
 
-
-def render_document(doc: InputDocument) -> str:
-    """Serialize a document back to canonical JSON text.
-
-    Parsing the output yields a document equal to the input.
-    """
-    field = doc.field
-    data = {"field": field.descriptor()}
-    if doc.coalgebra is not None:
-        data["coalgebra"] = {
-            "dim": doc.coalgebra.dim,
-            "delta": render_matrix(field, doc.coalgebra.delta),
-            "epsilon": render_matrix(field, doc.coalgebra.epsilon)[0],
-            "comodules": [
-                {"dim": mod.dim, "rho": render_matrix(field, mod.rho)}
-                for mod in doc.comodules or []
-            ],
-        }
-    else:
-        diagram = doc.diagram
-        data["objects"] = [{"name": n, "dim": d} for n, d in diagram.objects]
-        homs = []
-        for (src, dst) in sorted(diagram.hom_spans):
-            mats = diagram.hom_spans[(src, dst)]
-            if not mats:
-                continue
-            homs.append(
-                {
-                    "src": src,
-                    "dst": dst,
-                    "span": [render_matrix(field, m) for m in mats],
-                }
-            )
-        data["homs"] = homs
-        if doc.tensor is not None:
-            data["tensor"] = {
-                "unit": doc.tensor.unit,
-                "table": {
-                    f"{x},{y}": z for (x, y), z in sorted(doc.tensor.table.items())
-                },
-                "f2": {
-                    f"{x},{y}": render_matrix(field, iso)
-                    for (x, y), iso in sorted(doc.tensor.pair_isos.items())
-                },
-            }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"

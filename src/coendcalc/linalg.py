@@ -58,19 +58,20 @@ is the field's ``one`` object itself, as in identities and swaps; an
 equal but distinct one is multiplied, with the same result.  ``Matrix``
 remains the one storage of structure constants and of every report.
 
-``associativity_sides`` builds m(m (x) 1) and m(1 (x) m) for a product
-m: V (x) V -> V (dim V = n) straight from m's columns, with no identity
-or Kronecker map.  It reads each column of m once and records, for each
-single-term column, its row and its weight, flagged when it equals one
-(stored as the field's ``one`` itself; equality, not identity, decides).
-Column (a, b, c) of m(m (x) 1) is m applied to column ab of m with each
-row r sent to r*n + c; column (a, b, c) of m(1 (x) m) is m applied to
-column bc with r sent to a*n + r.  When column ab (or bc) is the single
-term w at r, that is column r*n + c (or a*n + r) of m scaled by w: one
-``mul`` of two single-term weights, none when either is flagged as one.
-An empty column gives an empty one; a column of several terms gives one
-``lincomb``, the sum a product's column would give.  The columns stay
-lazy and equal the composites' dicts, so every witness is unchanged.
+``associativity_difference`` finds the first (column, row) where
+m(m (x) 1) and m(1 (x) m) differ, for a product m: V (x) V -> V (dim V =
+n), straight from m's columns: the pair ``first_difference`` of the two
+composites gives, so every witness is unchanged.  Column (a, b, c) of
+m(m (x) 1) is m applied to column ab of m with each row r sent to
+r*n + c; column (a, b, c) of m(1 (x) m) is m applied to column bc with r
+sent to a*n + r.  A weight equal to one is stored as the field's ``one``
+itself.  Where column ab is the single term w at r and column r*n + c
+the single term x at r', and likewise y at s and z at s' on the right,
+the rows r' and s' are compared and then, unless all four weights are
+one, the field's ``products_equal`` decides w*x == y*z: no product is
+formed.  Otherwise both columns are built as dicts, as a product's would
+be: empty, a scaled column (not multiplied by a weight of one), or one
+``lincomb`` of several columns.
 """
 
 from __future__ import annotations
@@ -289,26 +290,6 @@ def kernel_basis(field: Field, cols: int, rows: Iterable) -> list:
     return [tuple(v) for v in kernel]
 
 
-def left_inverse(m: Matrix):
-    """A matrix L with ``L @ m = I`` for full-column-rank m, else None."""
-    f = m.field
-    n = m.cols
-    aug = Matrix._trusted(
-        f,
-        m.rows,
-        n + m.rows,
-        [
-            x
-            for i in range(m.rows)
-            for x in (*m.row(i), *(f.one if j == i else f.zero for j in range(m.rows)))
-        ],
-    )
-    reduced, pivots, _ = rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        return None
-    return Matrix._trusted(f, n, m.rows, [x for i in range(n) for x in reduced.row(i)[n:]])
-
-
 # -- tensor structure ------------------------------------------------------
 
 
@@ -432,13 +413,14 @@ class SparseMap:
 
         return SparseMap(f, self.rows * rb, self.cols * cb, column)
 
-    def associativity_sides(self) -> tuple:
-        """Both sides m(m (x) 1) and m(1 (x) m) of associativity of m: V (x) V -> V,
-        read off m's own columns (see the module docstring)."""
+    def associativity_difference(self):
+        """The first (column, row) where m(m (x) 1) and m(1 (x) m) differ for
+        m: V (x) V -> V, or None, read off m's own columns (see the module
+        docstring)."""
         f, n = self.field, self.rows
         if self.cols != n * n:
             raise ShapeError(f"a product on k^{n} needs {n * n} columns, got {self.cols}")
-        nn, one, mul, lincomb = n * n, f.one, f.mul, f.lincomb
+        nn, one, mul, lincomb, equal = n * n, f.one, f.mul, f.lincomb, f.products_equal
         cols = [self.column(k) for k in range(nn)]
         # the row and weight of each single-term column (row None otherwise);
         # a weight equal to one is flagged by storing the field's one itself
@@ -449,20 +431,28 @@ class SparseMap:
                 weights[k] = one if w == one else w
 
         def column(k, stride, shift):  # m at column k of m, row r sent to r*stride + shift
-            r, c = rows[k], cols[k]
-            if r is None:  # no term, or a sum of several
+            c, w = cols[k], weights[k]
+            if w is None:  # no term, or a sum of several
                 return lincomb((w, cols[r * stride + shift]) for r, w in c.items()) if c else c
-            w, at = weights[k], r * stride + shift
-            r = rows[at]
-            if r is not None:
-                x = weights[at]
-                return {r: x if w is one else w if x is one else mul(w, x)}
+            at = rows[k] * stride + shift
             return cols[at] if w is one else {r: mul(w, x) for r, x in cols[at].items()}
 
-        return (
-            SparseMap(f, n, nn * n, lambda j: column(j // n, n, j % n)),
-            SparseMap(f, n, nn * n, lambda j: column(j % nn, 1, j // nn * n)),
-        )
+        for j in range(nn * n):
+            ab, c = divmod(j, n)
+            a, bc = divmod(j, nn)
+            r, s = rows[ab], rows[bc]
+            if r is not None and s is not None:
+                left, right = r * n + c, a * n + s
+                r, s = rows[left], rows[right]
+                if r is not None and s is not None:  # w*x at r against y*z at s
+                    w, x, y, z = weights[ab], weights[left], weights[bc], weights[right]
+                    if r != s or not (w is x is y is z is one or equal(w, x, y, z)):
+                        return j, min(r, s)
+                    continue
+            lhs, rhs = column(ab, n, c), column(bc, 1, a * n)
+            if lhs != rhs:
+                return j, _first_row(lhs, rhs)
+        return None
 
     def to_matrix(self) -> Matrix:
         """The map as a dense ``Matrix``."""
@@ -480,8 +470,13 @@ class SparseMap:
         for j in range(self.cols):
             a, b = self.column(j), other.column(j)
             if a != b:
-                return j, min(r for r in a.keys() | b.keys() if a.get(r) != b.get(r))
+                return j, _first_row(a, b)
         return None
+
+
+def _first_row(a: dict, b: dict):
+    """The least row where two unequal columns differ."""
+    return min(r for r in a.keys() | b.keys() if a.get(r) != b.get(r))
 
 
 # -- quotient spaces -------------------------------------------------------

@@ -45,7 +45,10 @@ class CheckReport:
         ``describe(column, row)`` renders the first entry where they differ
         as the witness.
         """
-        diff = lhs.first_difference(rhs)
+        self.add_difference(name, lhs.first_difference(rhs), describe)
+
+    def add_difference(self, name: str, diff, describe):
+        """Add a check that fails at the (column, row) pair ``diff``, if any."""
         self.add(name, diff is None, None if diff is None else describe(*diff))
 
     @property

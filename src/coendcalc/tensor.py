@@ -23,7 +23,6 @@ from .linalg import (
     SparseMap,
     VectorSpan,
     kron,
-    left_inverse,
     vec_matrix,
 )
 from .reports import CheckReport
@@ -54,8 +53,16 @@ class TensorData:
 
     @cached_property
     def inverses(self) -> dict:
-        """The inverse of each comparison map, once; None where it is singular."""
-        return {pair: left_inverse(iso) for pair, iso in self.pair_isos.items()}
+        """The inverse of each comparison map, once; None where it is singular.
+        Multiplicative dimensions leave only 1x1 and 0x0 maps (see
+        ``validate_tensor``), each inverted with at most one field ``inv``."""
+        out = {}
+        for pair, m in self.pair_isos.items():
+            if (m.rows, m.cols) not in ((0, 0), (1, 1)):
+                raise ShapeError(f"comparison map {pair} is {m.rows}x{m.cols}, not 1x1 or 0x0")
+            out[pair] = None if not all(m.entries) else Matrix._trusted(
+                m.field, m.rows, m.cols, map(m.field.inv, m.entries))
+        return out
 
 
 def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
@@ -151,8 +158,8 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
     dim1 = [x for x in names if d.dim(x)]
     at, n = {x: k for k, x in enumerate(dim1)}, len(dim1)
     mu = [{at[t.table[(x, y)]]: t.pair_isos[(x, y)].entries[0]} for x in dim1 for y in dim1]
-    report.add_equal(
-        "coherence", *SparseMap(d.field, n, n * n, mu.__getitem__).associativity_sides(),
+    report.add_difference(
+        "coherence", SparseMap(d.field, n, n * n, mu.__getitem__).associativity_difference(),
         lambda j, _: f"triple ({dim1[j // n // n]}, {dim1[j // n % n]}, {dim1[j % n]})",
     )
 

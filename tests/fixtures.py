@@ -1,5 +1,6 @@
 """Shared diagram and coalgebra fixtures for the test suite."""
 
+import json
 import pathlib
 
 from hypothesis import strategies as st
@@ -18,7 +19,8 @@ from coendcalc import (
     is_coalgebra_map,
 )
 from coendcalc.errors import ShapeError
-from coendcalc.linalg import SparseMap, kron, left_inverse, rank, unvec_matrix, vec_matrix
+from coendcalc.inputdoc import InputDocument, render_matrix
+from coendcalc.linalg import SparseMap, kron, rank, rref, unvec_matrix, vec_matrix
 from coendcalc.reports import CheckReport
 
 
@@ -34,6 +36,26 @@ def matrix_from_cols(field, cols) -> Matrix:
             raise ShapeError("ragged columns")
     entries = [cols[j][i] for i in range(nrows) for j in range(len(cols))]
     return Matrix(field, nrows, len(cols), entries)
+
+
+def left_inverse(m: Matrix):
+    """A matrix L with ``L @ m = I`` for full-column-rank m, else None."""
+    f = m.field
+    n = m.cols
+    aug = Matrix(
+        f,
+        m.rows,
+        n + m.rows,
+        [
+            x
+            for i in range(m.rows)
+            for x in (*m.row(i), *(f.one if j == i else f.zero for j in range(m.rows)))
+        ],
+    )
+    reduced, pivots, _ = rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return Matrix(f, n, m.rows, [x for i in range(n) for x in reduced.row(i)[n:]])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -67,6 +89,56 @@ def structure_map(c: CoendStructure, name: str) -> Matrix:
     hi = lo + c.layout.dims[name] ** 2
     entries = [x for i in range(proj.rows) for x in proj.row(i)[lo:hi]]
     return Matrix(proj.field, proj.rows, hi - lo, entries)
+
+
+# -- documents --------------------------------------------------------------
+
+
+def render_document(doc: InputDocument) -> str:
+    """Serialize a document back to canonical JSON text.
+
+    Parsing the output yields a document equal to the input.
+    """
+    field = doc.field
+    data = {"field": field.descriptor()}
+    if doc.coalgebra is not None:
+        data["coalgebra"] = {
+            "dim": doc.coalgebra.dim,
+            "delta": render_matrix(field, doc.coalgebra.delta),
+            "epsilon": render_matrix(field, doc.coalgebra.epsilon)[0],
+            "comodules": [
+                {"dim": mod.dim, "rho": render_matrix(field, mod.rho)}
+                for mod in doc.comodules or []
+            ],
+        }
+    else:
+        diagram = doc.diagram
+        data["objects"] = [{"name": n, "dim": d} for n, d in diagram.objects]
+        homs = []
+        for (src, dst) in sorted(diagram.hom_spans):
+            mats = diagram.hom_spans[(src, dst)]
+            if not mats:
+                continue
+            homs.append(
+                {
+                    "src": src,
+                    "dst": dst,
+                    "span": [render_matrix(field, m) for m in mats],
+                }
+            )
+        data["homs"] = homs
+        if doc.tensor is not None:
+            data["tensor"] = {
+                "unit": doc.tensor.unit,
+                "table": {
+                    f"{x},{y}": z for (x, y), z in sorted(doc.tensor.table.items())
+                },
+                "f2": {
+                    f"{x},{y}": render_matrix(field, iso)
+                    for (x, y), iso in sorted(doc.tensor.pair_isos.items())
+                },
+            }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # -- diagrams ------------------------------------------------------------------

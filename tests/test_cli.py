@@ -4,7 +4,9 @@ import pytest
 
 from coendcalc import GF, InputFormatError, InternalConsistencyError, WellDefinednessError
 from coendcalc.cli import main, run_command
-from coendcalc.inputdoc import parse_document, render_document
+from coendcalc.inputdoc import parse_document
+
+from fixtures import render_document
 
 Z2_DOC = """
 {

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendcalc import GF, QQ, FieldMismatchError, InputFormatError, Matrix
 from coendcalc.fields import PrimeField
@@ -104,3 +106,32 @@ def test_canonical_residues():
     f5 = GF(5)
     m = Matrix.from_rows(f5, [[7, -1], [5, 12]])
     assert m.entries == (2, 4, 0, 2)
+
+
+def factors(field):
+    """Scalars over QQ with denominators, or residues over GF(p) both
+    small and close to p, where a product leaves [0, p)."""
+    if field is QQ:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return st.one_of(st.integers(0, min(20, field.p - 1)), st.integers(max(0, field.p - 20), field.p - 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=repr)
+def test_products_equal_matches_the_products(field):
+    verdicts = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.tuples(factors(field), factors(field), factors(field), factors(field)), st.booleans())
+    def check(quad, balance):
+        w, x, y, z = quad
+        if balance and y:  # equal products, from factors that need not be equal
+            z = field.div(field.mul(w, x), y)
+        if field is QQ:
+            want = Fraction(w) * Fraction(x) == Fraction(y) * Fraction(z)
+        else:
+            want = w * x % field.p == y * z % field.p
+        assert field.products_equal(w, x, y, z) == want
+        verdicts.add(want)
+
+    check()
+    assert verdicts == {True, False}

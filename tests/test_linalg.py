@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from coendcalc import GF, QQ, Matrix, ShapeError, kernel_basis, kron, quotient_split, rref
 from coendcalc.linalg import (
     VectorSpan,
-    left_inverse,
     rank,
     unvec_matrix,
     vec_matrix,
 )
 
-from fixtures import inverse
+from fixtures import inverse, left_inverse
 from oracles import (
     oracle_apply,
     oracle_kernel,

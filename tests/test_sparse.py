@@ -167,10 +167,12 @@ def test_first_difference_matches_equality(field):
 
 def products(field):
     """Maps m: k^n (x) k^n -> k^n for n = 0..3, as lists of n^2 column
-    dicts: the cyclic group table, or random columns of zero, one or
-    several terms, then up to two columns replaced by random ones, so most
-    tables are not associative.  Unit weights come as the field's one and
-    as freshly built equal objects (``Fraction(1)`` over QQ; small ints are
+    dicts: the cyclic group table with unit weights or with the weights
+    c(a) c(b) / c(a + b) of a 2-cocycle (associative, its products equal
+    from unequal factors), or random columns of zero, one or several
+    terms, then up to two columns replaced by random ones, so most tables
+    are not associative.  Unit weights come as the field's one and as
+    freshly built equal objects (``Fraction(1)`` over QQ; small ints are
     shared objects, so over GF(p) they are the one itself)."""
     if field is QQ:
         scalar = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -190,9 +192,13 @@ def products(field):
         cyclic = st.lists(unit, min_size=n * n, max_size=n * n).map(
             lambda ws: [{(a + b) % n: ws[a * n + b]} for a in range(n) for b in range(n)]
         )
+        cocycle = st.lists(scalar, min_size=n, max_size=n).map(lambda c: [
+            {(a + b) % n: field.div(field.mul(c[a], c[b]), c[(a + b) % n])}
+            for a in range(n) for b in range(n)
+        ])
         random = st.lists(column, min_size=n * n, max_size=n * n)
         patches = st.dictionaries(st.integers(0, n * n - 1), column, max_size=2)
-        return st.tuples(st.one_of(cyclic, random), patches if n else st.just({}))
+        return st.tuples(st.one_of(cyclic, cocycle, random), patches if n else st.just({}))
 
     def build(case):
         n, (cols, patches) = case
@@ -203,34 +209,40 @@ def products(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
-def test_associativity_sides_match_the_composites(field):
-    verdicts = set()
+def test_associativity_difference_matches_the_composites(field):
+    seen = set()
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(products(field))
     def check(case):
         n, cols = case
-        counted, muls = copy.copy(field), []
+        counted, muls, kernels = copy.copy(field), [], []
         counted.mul = lambda a, b: muls.append(1) or field.mul(a, b)
+        counted.products_equal = lambda *ws: kernels.append(1) or field.products_equal(*ws)
         own = [dict(c) for c in cols]
-        m = SparseMap(counted, n, n * n, cols.__getitem__)
-        one = SparseMap.identity(counted, n)
-        oracle = m @ m.kron(one), m @ one.kron(m)
-        sides = m.associativity_sides()
-        got = [[side.column(j) for j in range(n**3)] for side in sides]
-        side_muls = len(muls)
-        assert got == [[side.column(j) for j in range(n**3)] for side in oracle]
-        assert all(x for side in got for column in side for x in column.values())
-        diff = sides[0].first_difference(sides[1])
-        assert diff == oracle[0].first_difference(oracle[1])
+        diff = SparseMap(counted, n, n * n, cols.__getitem__).associativity_difference()
+        assert cols == own  # the check only reads m's columns
+        single = [w for column in cols if len(column) == 1 for w in column.values()]
+        if len(single) == len(cols):  # all four columns read are single-term: no product
+            assert not muls
         # weights equal to one, whether the one object or not, are never multiplied
-        if all(w == field.one for column in cols if len(column) == 1 for w in column.values()):
-            assert side_muls == 0
-        assert cols == own  # the sides only read m's columns
-        verdicts.add(diff is None)
+        if all(w == field.one for w in single):
+            assert not muls and not kernels
+        m, one = SparseMap(field, n, n * n, cols.__getitem__), SparseMap.identity(field, n)
+        lhs, rhs = m @ m.kron(one), m @ one.kron(m)
+        assert diff == lhs.first_difference(rhs)
+        seen.update(min(len(column), 2) for column in cols)
+        if diff is None:
+            seen.add("associative" if all(w == field.one for w in single) else
+                     "associative, a weight not one")
+        else:
+            j, r = diff
+            a, b = lhs.column(j), rhs.column(j)
+            seen.add("values differ" if r in a and r in b else "rows differ")
 
     check()
-    assert verdicts == {True, False}
+    assert seen == {0, 1, 2, "associative", "associative, a weight not one",
+                    "values differ", "rows differ"}
 
 
 def test_first_difference_rejects_other_shapes_and_fields():
