@@ -4,13 +4,15 @@ Subcommands: validate, coend, end, bialgebra, roundtrip.  Each reads one
 JSON input document, runs the computation with every verification, prints
 a human-readable report and optionally writes a machine-readable JSON
 report.  Exit codes: 0 all checks pass, 1 some check failed, 2 input
-error, 3 internal error.
+error or unwritable output (a ``--report`` path, or a closed stdout, after
+which ``--report`` is still written), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coend import coaction_naturality, compute_coend, induced_coaction, verify_coalgebra
@@ -330,7 +332,13 @@ def main(argv=None) -> int:
     checks = CheckReport()
     for c in report["checks"]:
         checks.add(c["name"], c["passed"], c["witness"])
-    _print_human(args.command, report[args.command], checks, sys.stdout)
+    try:
+        _print_human(args.command, report[args.command], checks, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:  # nobody reads stdout: keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to stdout: Broken pipe", file=sys.stderr)
+        code = EXIT_INPUT_ERROR
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as handle:

@@ -98,12 +98,12 @@ def hom_basis(d: DiagramPresentation, src: str, dst: str) -> HomBasis:
     turned back into matrices, so it only depends on the span itself.
     """
     rows_d, cols_d = d.dim(dst), d.dim(src)
-    span = _span(d.field, rows_d * cols_d, d.span(src, dst))
+    span = span_of(d.field, rows_d * cols_d, d.span(src, dst))
     basis = tuple(unvec_matrix(d.field, v, rows_d, cols_d) for v in span.basis())
     return HomBasis(src, dst, basis)
 
 
-def _span(field: Field, dim: int, mats) -> VectorSpan:
+def span_of(field: Field, dim: int, mats) -> VectorSpan:
     """The span of the vectorized matrices, in a space of dimension ``dim``."""
     span = VectorSpan(field, dim)
     for m in mats:
@@ -123,7 +123,7 @@ def validate_diagram(d: DiagramPresentation) -> CheckReport:
     for name, dim in d.objects:
         if dim == 0:
             continue
-        span = _span(d.field, dim * dim, d.span(name, name))
+        span = span_of(d.field, dim * dim, d.span(name, name))
         if span.contains(vec_matrix(Matrix.identity(d.field, dim))):
             report.ok(f"identity in span ({name} -> {name})")
         else:
@@ -133,19 +133,19 @@ def validate_diagram(d: DiagramPresentation) -> CheckReport:
             )
 
     names = d.names()
-    bases = {(x, y): hom_basis(d, x, y) for x in names for y in names}
+    bases = {x: {y: hom_basis(d, x, y) for y in names} for x in names}  # no pair keys
     for x in names:
         targets = {}  # z -> the span of (x -> z), built once
         for y in names:
-            first = bases[(x, y)]
+            first = bases[x][y]
             if not first.basis:
                 continue
             for z in names:
-                second = bases[(y, z)]
+                second = bases[y][z]
                 if not second.basis:
                     continue
                 if z not in targets:
-                    targets[z] = _span(d.field, d.dim(z) * d.dim(x), bases[(x, z)].basis)
+                    targets[z] = span_of(d.field, d.dim(z) * d.dim(x), bases[x][z].basis)
                 target = targets[z]
                 report.add_first(f"closure ({x} -> {y} -> {z})", (
                     f"composite of span matrices escapes span ({x} -> {z})"
@@ -167,7 +167,7 @@ def saturate_spans(d: DiagramPresentation) -> DiagramPresentation:
     spans = {}
     for x in names:
         for y in names:
-            spans[(x, y)] = _span(d.field, d.dim(y) * d.dim(x), d.span(x, y))
+            spans[(x, y)] = span_of(d.field, d.dim(y) * d.dim(x), d.span(x, y))
     for name, dim in d.objects:
         if dim > 0:
             spans[(name, name)].add(vec_matrix(Matrix.identity(d.field, dim)))

@@ -63,11 +63,9 @@ class EndStructure:
     def identity_vector(self) -> tuple:
         field = self.diagram.field
         out = [field.zero] * self.layout.total
-        for name in self.layout.names:
-            d = self.diagram.dim(name)
-            off = self.layout.offsets[name]
-            for k, val in enumerate(vec_matrix(Matrix.identity(field, d))):
-                out[off + k] = val
+        for name in self.layout.names:  # vec of the identity: a one at every i*d + i
+            d, off = self.diagram.dim(name), self.layout.offsets[name]
+            out[off : off + d * d : d + 1] = [field.one] * d
         return tuple(out)
 
 
@@ -136,7 +134,7 @@ def end_algebra(e: EndStructure) -> AlgebraData:
         for b in range(n)
     ]
     tuples.append(e.identity_vector())
-    coords = [tuple(v[fc] for fc in e.free) for v in tuples]
+    coords = [tuple([v[fc] for fc in e.free]) for v in tuples]
     basis = SparseMap.from_columns(field, total, e.basis)
     expressed = basis @ SparseMap.from_columns(field, n, coords)
     if expressed.first_difference(SparseMap.from_columns(field, total, tuples)) is not None:
@@ -151,7 +149,7 @@ def pairing_functional(e: EndStructure, b: int) -> tuple:
     Its value on the generator (i, j) of block X is entry (i, j) of the
     tuple's X component.
     """
-    return tuple(e.basis[b][k] for k in e.layout.transposed)
+    return tuple([e.basis[b][k] for k in e.layout.transposed])
 
 
 def duality_isomorphism(e: EndStructure, c: CoendStructure):

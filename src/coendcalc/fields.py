@@ -9,7 +9,11 @@ boundaries.
 
 Row kernels work in native operators: ``dot``, ``axpy`` and ``scale_row``
 on dense rows, and ``lincomb``, the sum of scaled sparse columns that
-``SparseMap`` products and sparse system rows are built with.
+``SparseMap`` products and sparse system rows are built with.  ``dot``
+and ``lincomb`` reduce once per output entry: over the rationals they add
+integer numerators over a running lcm of the term denominators (in two
+dicts of ints in ``lincomb``, no pairs) and build one ``Fraction``;
+GF(p) reduces ``% p`` once.
 ``products_equal`` decides w*x == y*z without forming either product:
 over the rationals on cross-multiplied numerators and denominators (no
 ``Fraction``, no gcd), over GF(p) with one residue test.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import reduce
+from math import lcm
 from typing import Union
 
 from .errors import FieldMismatchError, InputFormatError
@@ -182,8 +186,18 @@ class RationalField(Field):
         return self.div(self.one, a)
 
     def dot(self, xs, ys):
-        terms = [x * y for x, y in zip(xs, ys) if x and y]
-        return reduce(operator.add, terms) if terms else _ZERO
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            a, b = x.as_integer_ratio()
+            if a:
+                c, d = y.as_integer_ratio()
+                if c:
+                    b *= d
+                    if b != den:  # bring both sides to the lcm of the denominators
+                        m = lcm(den, b)
+                        num, a, den = num * (m // den), a * (m // b), m
+                    num += a * c
+        return Fraction(num, den) if num else _ZERO
 
     def axpy(self, c, xs, ys):
         return [x - c * y if y else x for x, y in zip(xs, ys)]
@@ -192,11 +206,18 @@ class RationalField(Field):
         return [c * x if x else _ZERO for x in xs]
 
     def lincomb(self, terms):
-        acc = {}
+        nums, dens = {}, {}
         for w, col in terms:
+            a, b = w.as_integer_ratio()
             for r, x in col.items():
-                acc[r] = acc[r] + w * x if r in acc else w * x
-        return {r: x for r, x in acc.items() if x}
+                c, d = x.as_integer_ratio()
+                c, d = a * c, b * d
+                num, den = nums.get(r, 0), dens.get(r, d)
+                if d != den:  # bring both sides to the lcm of the denominators
+                    m = lcm(den, d)
+                    num, c, den = num * (m // den), c * (m // d), m
+                nums[r], dens[r] = num + c, den
+        return {r: Fraction(x, dens[r]) for r, x in nums.items() if x}
 
     def products_equal(self, w, x, y, z):
         (a, b), (c, d) = w.as_integer_ratio(), x.as_integer_ratio()

@@ -21,6 +21,12 @@ coerces and shape-checks its entries; ``Matrix._trusted`` does neither
 and may only be given entries computed from canonical ones, since a
 non-canonical entry would change how a report renders.
 
+Hot-path tuples (entries, ``col``, ``apply``, ``vec_matrix``) come from
+lists or slices, and no accumulator holds tuples: ``tuple(<generator>)``
+allocates at a guessed size and shrinks, so it never takes a tuple from
+CPython's per-size free list but returns one there when freed, and memory
+parked there, unusable for other sizes, shows in peak resident memory.
+
 ``kernel_basis`` takes sparse rows (``{column: value}`` dicts storing no
 zero, keys in any order, as ``Matrix.row_terms`` gives) and restricts
 the standard basis e_0, e_1, ... of k^cols row by row, pairing over each
@@ -94,7 +100,7 @@ class Matrix:
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative matrix shape {rows}x{cols}")
-        entries = tuple(field.coerce(x) for x in entries)
+        entries = tuple([field.coerce(x) for x in entries])
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -150,7 +156,7 @@ class Matrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def col_terms(self, j: int) -> list:
         """Nonzero (row, value) pairs of column j."""
@@ -214,7 +220,7 @@ class Matrix:
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} against {self.rows}x{self.cols}")
         dot, k, e = self.field.dot, self.cols, self.entries
-        return tuple(dot(e[i * k : (i + 1) * k], v) for i in range(self.rows))
+        return tuple([dot(e[i * k : (i + 1) * k], v) for i in range(self.rows)])
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(
@@ -311,8 +317,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_matrix(m: Matrix) -> Vector:
-    """Column-stacking coordinates: vec(m)[i*rows + j] = m[j, i]."""
-    return tuple(m[j, i] for i in range(m.cols) for j in range(m.rows))
+    """Column-stacking coordinates, the transpose's: vec(m)[i*rows + j] = m[j, i]."""
+    return m.transpose().entries
 
 
 def unvec_matrix(field: Field, v: Sequence, rows: int, cols: int) -> Matrix:

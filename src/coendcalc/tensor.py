@@ -15,13 +15,12 @@ from functools import cached_property
 from itertools import product
 
 from .coend import CoalgebraData, CoendStructure
-from .diagram import DiagramPresentation, hom_basis
+from .diagram import DiagramPresentation, hom_basis, span_of
 from .end import AlgebraData, verify_algebra
 from .errors import ShapeError
 from .linalg import (
     Matrix,
     SparseMap,
-    VectorSpan,
     kron,
     vec_matrix,
 )
@@ -163,22 +162,20 @@ def validate_tensor(d: DiagramPresentation, t: TensorData) -> CheckReport:
         lambda j, _: f"triple ({dim1[j // n // n]}, {dim1[j // n % n]}, {dim1[j % n]})",
     )
 
-    bases = {(x, y): hom_basis(d, x, y).basis for x, y in product(names, repeat=2)}
-    pairs = [pair for pair, basis in bases.items() if basis]
+    bases = {x: {y: hom_basis(d, x, y).basis for y in names} for x in names}  # no pair keys
+    pairs = [(x, y) for x in names for y in names if bases[x][y]]
     spans = {}  # (src, dst) -> the span of (src -> dst), built once
 
     def escapes():
         for (x, x2), (y, y2) in product(pairs, repeat=2):
             src, dst = t.table[(x, y)], t.table[(x2, y2)]
-            span = spans.get((src, dst))
-            if span is None:
-                span = spans[(src, dst)] = VectorSpan(d.field, d.dim(dst) * d.dim(src))
-                for m in bases[(src, dst)]:
-                    span.add(vec_matrix(m))
+            if (src, dst) not in spans:
+                spans[(src, dst)] = span_of(d.field, d.dim(dst) * d.dim(src), bases[src][dst])
+            span = spans[(src, dst)]
             moved = (
                 t.pair_isos[(x2, y2)] * kron(a, b) * t.inverses[(x, y)]
-                for a in bases[(x, x2)]
-                for b in bases[(y, y2)]
+                for a in bases[x][x2]
+                for b in bases[y][y2]
             )
             if not all(span.contains(vec_matrix(m)) for m in moved):
                 yield (

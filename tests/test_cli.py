@@ -347,3 +347,33 @@ def test_invalid_utf8_is_an_input_error(tmp_path, capsys):
     assert main(["coend", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "UTF-8" in err and len(err.splitlines()) == 1
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import coendcalc
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = str(pathlib.Path(coendcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    report = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "coendcalc", "coend",
+             str(root / "sample_inputs" / "comatrix2.json"), "--report", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = run.stderr.decode()
+    assert run.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: cannot write to stdout: Broken pipe\n"
+    # the JSON report is still written, byte for byte as with an open stdout
+    assert report.read_text() == (root / "tests" / "golden" / "comatrix2.coend.json").read_text()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -135,3 +136,118 @@ def test_products_equal_matches_the_products(field):
 
     check()
     assert verdicts == {True, False}
+
+
+# -- the dot and lincomb kernels against plain Fraction and residue sums ----
+
+KERNEL_FIELDS = [QQ, GF(7), GF(2**31 - 1)]
+
+# denominators with many shared factors, so the running lcm is often
+# neither the product of two denominators nor one of them
+SHARED_DENOMINATORS = (1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36)
+
+
+def kernel_scalars(field):
+    """Rationals whose denominators share factors, or residues near 0 and
+    near p, where an unreduced sum leaves [0, p)."""
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-20, 20), st.sampled_from(SHARED_DENOMINATORS))
+    return factors(field)
+
+
+def reference_dot(field, xs, ys):
+    if field is QQ:
+        return sum((Fraction(x) * Fraction(y) for x, y in zip(xs, ys)), Fraction(0))
+    return sum(x * y for x, y in zip(xs, ys)) % field.p
+
+
+def reference_lincomb(field, terms):
+    acc = {}
+    for w, col in terms:
+        for r, x in col.items():
+            acc[r] = acc.get(r, 0) + (Fraction(w) * Fraction(x) if field is QQ else w * x)
+    if field is not QQ:
+        acc = {r: x % field.p for r, x in acc.items()}
+    return {r: x for r, x in acc.items() if x}
+
+
+def assert_canonical_scalar(field, x):
+    if field is QQ:
+        assert type(x) is Fraction, x
+    else:
+        assert type(x) is int and 0 <= x < field.p, x
+
+
+def cancelled(field, pairs):
+    """The pairs, then each with its first factor negated: a zero sum."""
+    return pairs + [(field.neg(x), y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_dot_matches_a_plain_sum(field):
+    entry = st.one_of(st.just(field.zero), kernel_scalars(field))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(entry, entry), max_size=9), st.booleans())
+    def check(pairs, cancel):
+        if cancel:
+            pairs = cancelled(field, pairs)
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        got = field.dot(xs, ys)
+        assert got == reference_dot(field, xs, ys)
+        assert_canonical_scalar(field, got)
+        if cancel:
+            assert not got and got == field.zero
+
+    check()
+    for empty in ([], ()):
+        assert field.dot(empty, empty) == field.zero and not field.dot(empty, empty)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_lincomb_matches_a_plain_sum(field):
+    column = st.dictionaries(st.integers(0, 5), kernel_scalars(field).filter(bool), max_size=4)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(kernel_scalars(field), column), max_size=6), st.booleans())
+    def check(terms, cancel):
+        if cancel:
+            terms = cancelled(field, terms)
+        got = field.lincomb(terms)
+        assert got == reference_lincomb(field, terms)
+        assert all(got.values()), got  # no zero is stored
+        for x in got.values():
+            assert_canonical_scalar(field, x)
+        if cancel:
+            assert got == {}
+
+    check()
+    assert field.lincomb([]) == {} and field.lincomb([(field.one, {})]) == {}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_kernels_on_a_long_row_with_distinct_denominators(field):
+    """81 terms, as in a row of the 3 x 3 comatrix kernel: over QQ each
+    term has its own denominator, and the result's denominator divides
+    the lcm of the term denominators."""
+    n = 81
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=2 * n, max_size=2 * n))
+    def check(nums):
+        if field is QQ:
+            xs = [Fraction(a, i + 1) for i, a in enumerate(nums[:n])]
+            ys = [Fraction(b, n + 1 - i) for i, b in enumerate(nums[n:])]
+        else:
+            xs, ys = [field.coerce(a) for a in nums[:n]], [field.coerce(b) for b in nums[n:]]
+        got = field.dot(xs, ys)
+        assert got == reference_dot(field, xs, ys)
+        terms = [(x, {i % 5: y}) for i, (x, y) in enumerate(zip(xs, ys))]
+        total = field.lincomb(terms)
+        assert total == reference_lincomb(field, terms)
+        if field is QQ:
+            common = lcm(*((x * y).denominator for x, y in zip(xs, ys)))
+            for value in (got, *total.values()):
+                assert common % value.denominator == 0
+
+    check()

@@ -447,3 +447,73 @@ def plain_lincomb(field, terms):
             value = field.add(value, field.mul(w, col.get(r, field.zero)))
         total[r] = value
     return {r: x for r, x in total.items() if x}
+
+
+# -- the list-built helpers against their definitions ------------------------
+
+
+def matrices(field, rows=st.integers(0, 4), cols=st.integers(0, 4)):
+    """Matrices of every small shape, 0 x n and n x 0 included, half their
+    entries zero."""
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+    entry = st.one_of(st.just(field.zero), scalar)
+    return st.tuples(rows, cols).flatmap(lambda shape: st.lists(
+        entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+    ).map(lambda entries: Matrix(field, shape[0], shape[1], entries)))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_vec_and_unvec_invert_each_other(field):
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(matrices(field))
+    def check(m):
+        v = vec_matrix(m)
+        assert type(v) is tuple
+        assert v == tuple(m[j, i] for i in range(m.cols) for j in range(m.rows))
+        assert unvec_matrix(field, v, m.rows, m.cols) == m
+        assert vec_matrix(unvec_matrix(field, v, m.rows, m.cols)) == v
+
+    check()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_vec_of_a_product_is_a_kron_applied_to_vec(field):
+    """vec(A T B) = kron(B^t, A) vec(T), as the module docstring states."""
+    dims = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(dims.flatmap(lambda d: st.tuples(
+        matrices(field, st.just(d[0]), st.just(d[1])),
+        matrices(field, st.just(d[1]), st.just(d[2])),
+        matrices(field, st.just(d[2]), st.just(d[3])),
+    )))
+    def check(factors):
+        a, t, b = factors
+        assert vec_matrix(a * t * b) == kron(b.transpose(), a).apply(vec_matrix(t))
+
+    check()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_col_and_apply_match_their_definitions(field):
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(matrices(field).flatmap(
+        lambda m: st.tuples(st.just(m), matrices(field, st.just(1), st.just(m.cols)))
+    ))
+    def check(case):
+        m, v = case[0], case[1].row(0)
+        for j in range(m.cols):
+            col = m.col(j)
+            assert type(col) is tuple and col == tuple(m[i, j] for i in range(m.rows))
+        image = m.apply(v)
+        assert type(image) is tuple and image == oracle_apply(field, m, v)
+        assert_canonical(field, image)
+
+    check()
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        m = Matrix.zeros(field, rows, cols)
+        assert [m.col(j) for j in range(cols)] == [()] * cols
+        assert m.apply((field.zero,) * cols) == (field.zero,) * rows
