@@ -359,7 +359,8 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
 
     root = pathlib.Path(__file__).resolve().parent.parent
     src = str(pathlib.Path(coendcalc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     report = tmp_path / "r.json"
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first byte is written
